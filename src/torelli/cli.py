@@ -12,14 +12,14 @@ import os
 import sys
 
 from .errors import ParseError, TorelliError
-from .freegroup import MappingClass, compose, letter_name, validate
+from .freegroup import MappingClass, identity_class, letter_name, validate
 from .freelie import LieElement, lyndon_basis, standard_factorization, witt_dim
 from .johnson import (DEFAULT_DEPTH, DEFAULT_TOWER_MAX, bordant,
                       filtration_depth, morita_check, tau, tau_tower)
 from .mcglib import builtin_entries, parse_map_file, parse_tor_file
 from .present import eta_block_ranks, present_filled, present_mapping_torus
-from .spinquad import (arf, enumerate_forms, eta2, form_literal,
-                       parse_form_literal, rho)
+from .spinquad import (composed_action, enumerate_forms, eta2, form_literal,
+                       parse_form_literal, rho, word_genus)
 
 # ---------------------------------------------------------------------------
 # shared text forms
@@ -51,7 +51,7 @@ def lie_text(el: LieElement, genus: int) -> str:
 
 
 def tau_block(value, genus: int) -> str:
-    lines = [f"tau k={value.k}"]
+    lines = [f"tau k={value.degree}"]
     for j, comp in enumerate(value.components, start=1):
         lines.append(f"{letter_name(j, genus)}: {lie_text(comp, genus)}")
     return "\n".join(lines)
@@ -101,19 +101,13 @@ def load_input(path: str):
     return "tor", parse_tor_file(text, load=_tor_loader(path))
 
 
-def compose_word(word) -> MappingClass:
-    f = None
-    for entry, exp in word:
-        g = entry.action if exp >= 0 else entry.action.inverse()
-        f = g if f is None else compose(f, g)
-    if f is None:
-        raise ParseError("empty word")
-    return f
+def descriptor_word(word):
+    return [(entry.descriptor, exp) for entry, exp in word]
 
 
 def load_mapping_class(path: str) -> MappingClass:
     kind, obj = load_input(path)
-    return obj if kind == "map" else compose_word(obj)
+    return obj if kind == "map" else composed_action(descriptor_word(obj))
 
 
 def load_tor_word(path: str):
@@ -122,10 +116,6 @@ def load_tor_word(path: str):
         raise ParseError(f"{path!r} is a .map input; this command needs a "
                          "Torelli word file")
     return obj
-
-
-def descriptor_word(word):
-    return [(entry.descriptor, exp) for entry, exp in word]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +158,6 @@ def cmd_tau_tower(args) -> int:
 def cmd_bordant(args) -> int:
     f = load_mapping_class(args.input)
     if args.with_input is None:
-        from .freegroup import identity_class
         h = identity_class(f.genus)
     else:
         h = load_mapping_class(args.with_input)
@@ -188,14 +177,10 @@ def cmd_morita_check(args) -> int:
     return 0
 
 
-def _word_genus(word):
-    return word[0][0].action.genus
-
-
 def cmd_bc(args) -> int:
     word = load_tor_word(args.input)
     dword = descriptor_word(word)
-    genus = _word_genus(word)
+    genus = word_genus(dword)
     if args.all_forms:
         bits = "".join(str(rho(q, dword))
                        for q in enumerate_forms(genus, arf_filter=0))
@@ -272,17 +257,14 @@ def cmd_gens(args) -> int:
 def cmd_validate(args) -> int:
     kind, obj = load_input(args.input)
     if kind == "map":
-        report = validate(obj)
-        for c in report.checks:
+        # the parser has already rejected a class failing any check
+        for c in validate(obj).checks:
             detail = f" ({c.detail})" if c.detail else ""
             print(f"{c.name}: {c.status}{detail}")
-        if not report.ok:
-            print("error: VALIDATION_FAILED")
-            return 1
         print("result: ok")
     else:
         # descriptors were validated during parsing; report the word
-        f = compose_word(obj)
+        f = composed_action(descriptor_word(obj))
         print(f"word length: {len(obj)}")
         print(f"genus: {f.genus}")
         print("result: ok")
@@ -299,6 +281,20 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+def _int_at_least(low: int):
+    """argparse ``type=`` for integers >= low; anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="torelli",
                      description="Johnson filtration invariants of surface "
@@ -312,27 +308,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("depth", cmd_depth, help="filtration depth of a mapping class")
     p.add_argument("-i", dest="input", required=True)
-    p.add_argument("--max-k", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--max-k", type=_int_at_least(0), default=DEFAULT_DEPTH)
 
     p = add("tau", cmd_tau, help="level-k value on the generators")
     p.add_argument("-i", dest="input", required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_int_at_least(1), required=True)
 
     p = add("tau-tower", cmd_tau_tower,
             help="successive levels up to the first nonzero one")
     p.add_argument("-i", dest="input", required=True)
-    p.add_argument("--max-k", type=int, default=DEFAULT_TOWER_MAX)
+    p.add_argument("--max-k", type=_int_at_least(2), default=DEFAULT_TOWER_MAX)
 
     p = add("bordant", cmd_bordant,
             help="level-k bordism comparison (default: against identity)")
     p.add_argument("-i", dest="input", required=True)
     p.add_argument("--with", dest="with_input")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_int_at_least(1), required=True)
 
     p = add("morita-check", cmd_morita_check,
             help="bracket-contraction containment of the level-k value")
     p.add_argument("-i", dest="input", required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_int_at_least(1), required=True)
 
     p = add("bc", cmd_bc, help="Birman-Craggs value of a Torelli word")
     p.add_argument("-i", dest="input", required=True)
@@ -348,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arf", type=int, choices=(0, 1), default=None)
 
     p = add("lie", cmd_lie, help="free Lie layer basis and dimension")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("--genus", type=_int_at_least(1), required=True)
+    p.add_argument("-k", type=_int_at_least(1), required=True)
     p.add_argument("--basis", choices=("lyndon", "monomial"),
                    default="lyndon")
 
@@ -359,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("blocks", cmd_blocks, help="level-k block ranks")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_int_at_least(2), required=True)
 
     p = add("gens", cmd_gens, help="list the built-in Torelli generators")
     p.add_argument("--genus", type=int, required=True)

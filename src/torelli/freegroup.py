@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .errors import GenusMismatch, MissingInverse, NotReduced, ParseError
+from .errors import (GenusMismatch, MissingInverse, NotReduced, ParseError,
+                     ValidationFailure)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,34 +61,6 @@ class Word:
 
 
 IDENTITY = Word(())
-
-
-@dataclass(frozen=True, slots=True)
-class Generator:
-    """One standard generator; index 2i-1 names a_i, index 2i names b_i."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise GenusMismatch(f"generator index {self.index} out of range")
-
-    @property
-    def handle(self) -> int:
-        return (self.index + 1) // 2
-
-    @property
-    def name(self) -> str:
-        i = self.handle
-        return f"a{i}" if self.index % 2 == 1 else f"b{i}"
-
-    @property
-    def word(self) -> Word:
-        return Word((self.index,))
-
-
-def generators(genus: int) -> list[Generator]:
-    return [Generator(j) for j in range(1, 2 * genus + 1)]
 
 
 def reduce(letters: Iterable[int]) -> Word:
@@ -374,3 +347,12 @@ def validate(f: MappingClass) -> ValidationReport:
                                   "two-sided inverse" if ok else
                                   "compositions are not the identity"))
     return ValidationReport(f.genus, tuple(checks))
+
+
+def require_valid(f: MappingClass) -> None:
+    """Raise ValidationFailure naming every failed check of :func:`validate`."""
+    report = validate(f)
+    if not report.ok:
+        failing = "; ".join(f"{c.name}: {c.detail}" for c in report.checks
+                            if c.status == "fail")
+        raise ValidationFailure(f"mapping class rejected ({failing})")

@@ -59,6 +59,8 @@ def is_lyndon(word: tuple[int, ...]) -> bool:
 def lyndon_words(rank: int, max_degree: int) -> list[tuple[int, ...]]:
     """All Lyndon words over 1..rank of length <= max_degree, in lex order
     (Duval's generation)."""
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     out: list[tuple[int, ...]] = []
     w = [1]
     while w:
@@ -261,6 +263,8 @@ class H1LieTensor:
 
     ``components[j-1]`` is the Lie element sitting in the slot of basis
     vector j of H_1, so the tensor reads sum_j e_j (x) components[j-1].
+    A level-d Johnson value has the same shape, read as a homomorphism:
+    ``components[j-1]`` is the value on generator j.
     """
 
     genus: int

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import MissingInverse, NotInJk, ValidationFailure
-from .freegroup import (MappingClass, Word, compose, invert, letter_name,
-                        multiply, validate)
+from .errors import MissingInverse, NotInJk
+from .freegroup import (MappingClass, Word, compose, letter_name, multiply,
+                        require_valid)
 from .freelie import H1LieTensor, LieElement, bracket_map
-from .magnus import DEFAULT_DEPTH, TruncatedSeries, magnus_expand, series_inverse
+from .magnus import DEFAULT_DEPTH, TruncatedSeries, magnus_expand
 
 DEFAULT_TOWER_MAX = 5
 
@@ -56,49 +56,6 @@ class DepthReport:
         return d is None or d >= k
 
 
-@dataclass
-class TauValue:
-    """Level-k invariant: one degree-k Lie element per generator."""
-
-    genus: int
-    k: int
-    components: tuple[LieElement, ...]
-
-    def __post_init__(self):
-        n = 2 * self.genus
-        if len(self.components) != n:
-            raise ValueError(f"expected {n} components, got {len(self.components)}")
-        for c in self.components:
-            if c.rank != n or c.degree != self.k:
-                raise ValueError("component in the wrong Lie layer")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def add(self, other: "TauValue") -> "TauValue":
-        if (self.genus, self.k) != (other.genus, other.k):
-            raise ValueError("mismatched tau values")
-        return TauValue(self.genus, self.k,
-                        tuple(a.add(b) for a, b in zip(self.components,
-                                                       other.components)))
-
-    def neg(self) -> "TauValue":
-        return TauValue(self.genus, self.k,
-                        tuple(c.neg() for c in self.components))
-
-    @classmethod
-    def zero(cls, genus: int, k: int) -> "TauValue":
-        n = 2 * genus
-        return cls(genus, k, tuple(LieElement.zero(n, k) for _ in range(n)))
-
-
-def _require_valid(f: MappingClass):
-    report = validate(f)
-    if not report.ok:
-        failed = ", ".join(c.name for c in report.checks if c.status == "fail")
-        raise ValidationFailure(f"mapping class fails validation: {failed}")
-
-
 def displacement_series(f: MappingClass, cutoff: int) -> list[TruncatedSeries]:
     """Expansions of f(alpha_j) alpha_j^-1 for every generator j."""
     rank = 2 * f.genus
@@ -107,6 +64,7 @@ def displacement_series(f: MappingClass, cutoff: int) -> list[TruncatedSeries]:
         w = multiply(image, Word((-j,)))
         out.append(magnus_expand(w, rank, cutoff))
     return out
+
 
 def _check_level(series: list[TruncatedSeries], k: int):
     # no term of degree < k may survive in any generator's displacement
@@ -118,35 +76,40 @@ def _check_level(series: list[TruncatedSeries], k: int):
                 k=k, witness=letter_name(j), degree=d)
 
 
+def _layer(series: list[TruncatedSeries], genus: int, k: int) -> H1LieTensor:
+    """Degree-k parts of the displacements, in Lyndon coordinates."""
+    return H1LieTensor(genus, k, tuple(
+        LieElement.from_polynomial(2 * genus, k, s.degree_terms(k))
+        for s in series))
+
+
 def filtration_depth(f: MappingClass, cutoff: int = DEFAULT_DEPTH) -> DepthReport:
     """Largest certified filtration level of f, up to the cutoff."""
-    _require_valid(f)
+    require_valid(f)
     series = displacement_series(f, cutoff)
     return DepthReport(f.genus, cutoff,
                        tuple(s.min_positive_degree() for s in series))
 
 
-def tau(f: MappingClass, k: int) -> TauValue:
-    """Level-k invariant of f; requires membership at level k."""
+def tau(f: MappingClass, k: int) -> H1LieTensor:
+    """Level-k invariant of f, one degree-k Lie element per generator;
+    requires membership at level k."""
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    _require_valid(f)
+    require_valid(f)
     series = displacement_series(f, k)
     _check_level(series, k)
-    rank = 2 * f.genus
-    comps = tuple(LieElement.from_polynomial(rank, k, s.degree_terms(k))
-                  for s in series)
-    return TauValue(f.genus, k, comps)
+    return _layer(series, f.genus, k)
 
 
-def symplectic_dual(t: TauValue) -> H1LieTensor:
+def symplectic_dual(t: H1LieTensor) -> H1LieTensor:
     """Rewrite a Hom-form value as a tensor via the intersection pairing:
     the slot of a_i receives tau(b_i), the slot of b_i receives -tau(a_i)."""
     comps: list[LieElement] = []
     for i in range(1, t.genus + 1):
         comps.append(t.components[2 * i - 1])        # slot a_i <- tau(b_i)
         comps.append(t.components[2 * i - 2].neg())  # slot b_i <- -tau(a_i)
-    return H1LieTensor(t.genus, t.k, tuple(comps))
+    return H1LieTensor(t.genus, t.degree, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -189,8 +152,8 @@ def bordant(f: MappingClass, h: MappingClass, k: int,
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    _require_valid(f)
-    _require_valid(h)
+    require_valid(f)
+    require_valid(h)
     _check_level(displacement_series(f, k), k)
     _check_level(displacement_series(h, k), k)
     diff = compose(f, _inverse_of(h, library))
@@ -207,7 +170,7 @@ class TowerReport:
     genus: int
     kmin: int
     kmax: int
-    entries: tuple[tuple[int, TauValue], ...]
+    entries: tuple[tuple[int, H1LieTensor], ...]
     first_nonzero: Optional[int]
 
 
@@ -217,90 +180,15 @@ def tau_tower(f: MappingClass, kmin: int = 2,
     kmax; stops at the first nonzero level or at kmax."""
     if not 1 <= kmin <= kmax:
         raise ValueError(f"bad level range {kmin}..{kmax}")
-    _require_valid(f)
+    require_valid(f)
     series = displacement_series(f, kmax)
     _check_level(series, kmin)
-    rank = 2 * f.genus
     entries = []
     first_nonzero = None
     for k in range(kmin, kmax + 1):
-        comps = tuple(LieElement.from_polynomial(rank, k, s.degree_terms(k))
-                      for s in series)
-        value = TauValue(f.genus, k, comps)
+        value = _layer(series, f.genus, k)
         entries.append((k, value))
         if not value.is_zero():
             first_nonzero = k
             break
     return TowerReport(f.genus, kmin, kmax, tuple(entries), first_nonzero)
-
-
-# ---------------------------------------------------------------------------
-# precomposed expansion tables
-#
-# Sweeping many words in a fixed generating set would otherwise re-expand
-# ever-longer image words.  A table stores mu(f(alpha_j)) once; extending
-# by one more generator only walks that generator's stored (short) images.
-
-@dataclass
-class ActionTable:
-    genus: int
-    cutoff: int
-    series: tuple[TruncatedSeries, ...]          # mu(f(alpha_j))
-    inverse_series: tuple[TruncatedSeries, ...]  # their reciprocals
-
-    @classmethod
-    def identity(cls, genus: int, cutoff: int) -> "ActionTable":
-        rank = 2 * genus
-        ser = tuple(magnus_expand(Word((j,)), rank, cutoff)
-                    for j in range(1, rank + 1))
-        inv = tuple(magnus_expand(Word((-j,)), rank, cutoff)
-                    for j in range(1, rank + 1))
-        return cls(genus, cutoff, ser, inv)
-
-    @classmethod
-    def for_mapping_class(cls, f: MappingClass, cutoff: int) -> "ActionTable":
-        rank = 2 * f.genus
-        ser = tuple(magnus_expand(w, rank, cutoff) for w in f.images)
-        inv = tuple(magnus_expand(invert(w), rank, cutoff) for w in f.images)
-        return cls(f.genus, cutoff, ser, inv)
-
-    def precompose(self, g: MappingClass) -> "ActionTable":
-        """Table of (self composed after g)."""
-        if g.genus != self.genus:
-            raise ValueError("genus mismatch")
-        rank = 2 * self.genus
-        ser: list[TruncatedSeries] = []
-        inv: list[TruncatedSeries] = []
-        for j, image in enumerate(g.images, start=1):
-            if image.letters == (j,):
-                ser.append(self.series[j - 1])
-                inv.append(self.inverse_series[j - 1])
-                continue
-            acc = TruncatedSeries.one(rank, self.cutoff)
-            for x in image.letters:
-                factor = (self.series[x - 1] if x > 0
-                          else self.inverse_series[-x - 1])
-                acc = acc.mul(factor)
-            ser.append(acc)
-            inv.append(series_inverse(acc))
-        return ActionTable(self.genus, self.cutoff, tuple(ser), tuple(inv))
-
-    def displacement(self, j: int) -> TruncatedSeries:
-        """Expansion of f(alpha_j) alpha_j^-1."""
-        rank = 2 * self.genus
-        return self.series[j - 1].mul(magnus_expand(Word((-j,)), rank, self.cutoff))
-
-    def depth_report(self) -> DepthReport:
-        witnesses = tuple(self.displacement(j).min_positive_degree()
-                          for j in range(1, 2 * self.genus + 1))
-        return DepthReport(self.genus, self.cutoff, witnesses)
-
-    def tau(self, k: int) -> TauValue:
-        if not 1 <= k <= self.cutoff:
-            raise ValueError(f"level {k} outside table cutoff {self.cutoff}")
-        rank = 2 * self.genus
-        disp = [self.displacement(j) for j in range(1, rank + 1)]
-        _check_level(disp, k)
-        comps = tuple(LieElement.from_polynomial(rank, k, s.degree_terms(k))
-                      for s in disp)
-        return TauValue(self.genus, k, comps)

@@ -50,16 +50,8 @@ class TruncatedSeries:
                     self.terms[d] = cleaned
 
     @classmethod
-    def zero(cls, rank: int, cutoff: int) -> "TruncatedSeries":
-        return cls(rank, cutoff)
-
-    @classmethod
     def one(cls, rank: int, cutoff: int) -> "TruncatedSeries":
         return cls(rank, cutoff, {0: {(): 1}})
-
-    def _check_shape(self, other: "TruncatedSeries"):
-        if self.rank != other.rank or self.cutoff != other.cutoff:
-            raise ValueError("series shapes differ")
 
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(len(mono), {}).get(tuple(mono), 0)
@@ -71,48 +63,6 @@ class TruncatedSeries:
         """Lowest degree >= 1 carrying a nonzero term, None if there is none."""
         positive = [d for d in self.terms if d >= 1]
         return min(positive) if positive else None
-
-    def is_one(self) -> bool:
-        return self.terms == {0: {(): 1}}
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_shape(other)
-        out: dict[int, Bucket] = {d: dict(b) for d, b in self.terms.items()}
-        for d, bucket in other.terms.items():
-            tgt = out.setdefault(d, {})
-            for m, c in bucket.items():
-                tgt[m] = tgt.get(m, 0) + c
-        return TruncatedSeries(self.rank, self.cutoff, out)
-
-    def neg(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.rank, self.cutoff,
-            {d: {m: -c for m, c in b.items()} for d, b in self.terms.items()})
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.add(other.neg())
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_shape(other)
-        out: dict[int, Bucket] = {}
-        for d1, b1 in self.terms.items():
-            for d2, b2 in other.terms.items():
-                d = d1 + d2
-                if d > self.cutoff:
-                    continue
-                tgt = out.setdefault(d, {})
-                for m1, c1 in b1.items():
-                    for m2, c2 in b2.items():
-                        m = m1 + m2
-                        tgt[m] = tgt.get(m, 0) + c1 * c2
-        return TruncatedSeries(self.rank, self.cutoff, out)
-
-    def sorted_items(self) -> list[tuple[Monomial, int]]:
-        out = []
-        for d in sorted(self.terms):
-            for m in sorted(self.terms[d]):
-                out.append((m, self.terms[d][m]))
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TruncatedSeries) and self.rank == other.rank
@@ -165,38 +115,6 @@ def magnus_expand(w: Word, rank: int, cutoff: int = DEFAULT_DEPTH) -> TruncatedS
     for x in w.letters:
         acc = _mul_letter(acc, abs(x), x > 0)
     return acc
-
-
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Two-sided inverse of a series with constant term 1, degree by degree."""
-    if s.terms.get(0) != {(): 1}:
-        raise ValueError("series inverse needs constant term 1")
-    inv: dict[int, Bucket] = {0: {(): 1}}
-    for d in range(1, s.cutoff + 1):
-        bucket: Bucket = {}
-        # R S = 1 and S_0 = 1 force R_d = -sum_{e>=1} R_{d-e} S_e
-        for e in range(1, d + 1):
-            se = s.terms.get(e)
-            if not se:
-                continue
-            for m1, c1 in inv.get(d - e, {}).items():
-                for m2, c2 in se.items():
-                    key = m1 + m2
-                    bucket[key] = bucket.get(key, 0) - c1 * c2
-        cleaned = _clean(bucket)
-        if cleaned:
-            inv[d] = cleaned
-    return TruncatedSeries(s.rank, s.cutoff, inv)
-
-
-def lcs_degree(w: Word, rank: int, cutoff: int = DEFAULT_DEPTH) -> Optional[int]:
-    """Largest k <= cutoff with w in the k-th lower central subgroup, read
-    off as the lowest surviving degree of the expansion minus 1.
-
-    Returns None when every term through the cutoff vanishes, meaning the
-    word sits at depth cutoff+1 or deeper (or is trivial).
-    """
-    return magnus_expand(w, rank, cutoff).min_positive_degree()
 
 
 # ---------------------------------------------------------------------------

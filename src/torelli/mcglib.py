@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 from .errors import GenusMismatch, ParseError, ValidationFailure
 from .freegroup import (MappingClass, Word, boundary_word, commutator,
-                        format_word, invert, letter_name, multiply, parse_word,
-                        reduce, validate)
+                        conjugate, format_word, invert, letter_name, multiply,
+                        parse_word, reduce, require_valid)
 from .spinquad import (H1Vector, TorelliGenDescriptor, basis_vector,
                        validate_descriptor)
 
@@ -60,10 +60,6 @@ class GeneratorEntry:
     action_path: Optional[str] = None
 
 
-def _conj(w: Word, by: Word) -> Word:
-    return multiply(multiply(by, w), invert(by))
-
-
 def _handle_commutator(i: int) -> Word:
     return commutator(Word((2 * i - 1,)), Word((2 * i,)))
 
@@ -85,8 +81,8 @@ def _run_twist(genus: int, start: int, end: int) -> MappingClass:
     for j in range(1, 2 * genus + 1):
         i = (j + 1) // 2
         if start <= i <= end:
-            images.append(_conj(Word((j,)), c))
-            inverses.append(_conj(Word((j,)), ci))
+            images.append(conjugate(Word((j,)), c))
+            inverses.append(conjugate(Word((j,)), ci))
         else:
             images.append(Word((j,)))
             inverses.append(Word((j,)))
@@ -129,11 +125,11 @@ _BP_Z = (1, 2, -1, -2, 3)
 def _bp_std_action(genus: int) -> MappingClass:
     z = Word(_BP_Z)
     zi = invert(z)
-    images = [_conj(Word((1,)), zi), _conj(Word((2,)), zi),
-              _conj(Word((3,)), zi),
+    images = [conjugate(Word((1,)), zi), conjugate(Word((2,)), zi),
+              conjugate(Word((3,)), zi),
               reduce((4, -3) + _BP_Z)]
-    inverses = [_conj(Word((1,)), z), _conj(Word((2,)), z),
-                _conj(Word((3,)), z),
+    inverses = [conjugate(Word((1,)), z), conjugate(Word((2,)), z),
+                conjugate(Word((3,)), z),
                 reduce((4, 3) + zi.letters)]
     for j in range(5, 2 * genus + 1):
         images.append(Word((j,)))
@@ -216,13 +212,8 @@ def _parse_image_lines(lines, genus: int, aliases, header_ln: int):
     return tuple(images[j] for j in range(1, 2 * genus + 1)), last_ln
 
 
-def parse_map_file(text: str) -> MappingClass:
-    """Parse and validate a .map file.
-
-    Layout: a genus line, optional `let <name> = <tokens>` aliases, a
-    `map` header with 2g image lines, and an optional `inverse` header
-    with 2g more.  Aliases may reference earlier aliases.
-    """
+def _parse_map_text(text: str) -> MappingClass:
+    """The class a .map file describes, not yet validated."""
     lines = _meaningful_lines(text)
     genus = _parse_genus_line(lines)
     aliases: dict[str, Word] = {}
@@ -251,12 +242,18 @@ def parse_map_file(text: str) -> MappingClass:
         tail = next(lines, None)
         if tail is not None:
             raise ParseError("unexpected content after the inverse block", tail[0])
-    f = MappingClass(genus, images, inverse_images)
-    report = validate(f)
-    if not report.ok:
-        failing = "; ".join(f"{c.name}: {c.detail}" for c in report.checks
-                            if c.status == "fail")
-        raise ValidationFailure(f"mapping class rejected ({failing})")
+    return MappingClass(genus, images, inverse_images)
+
+
+def parse_map_file(text: str) -> MappingClass:
+    """Parse and validate a .map file.
+
+    Layout: a genus line, optional `let <name> = <tokens>` aliases, a
+    `map` header with 2g image lines, and an optional `inverse` header
+    with 2g more.  Aliases may reference earlier aliases.
+    """
+    f = _parse_map_text(text)
+    require_valid(f)
     return f
 
 
@@ -365,7 +362,7 @@ def _inline_bp(name: str, rest: str, genus: int, ln: int,
         action_text = load(path)
     except OSError as exc:
         raise ParseError(f"cannot read action file {path!r}: {exc}", ln) from exc
-    action = parse_map_file(action_text)
+    action = _parse_map_text(action_text)
     if action.genus != genus:
         raise ParseError(
             f"action file has genus {action.genus}, word has genus {genus}", ln)

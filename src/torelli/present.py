@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GenusMismatch, ValidationFailure
-from .freegroup import (MappingClass, Word, commutator, format_word, invert,
-                        letter_name, multiply, reduce, validate)
+from .errors import GenusMismatch
+from .freegroup import (MappingClass, Word, commutator, format_word,
+                        letter_name, multiply, reduce, require_valid)
 from .freelie import witt_dim
 
 
@@ -45,18 +45,10 @@ class Presentation:
         return "\n".join(lines) + "\n"
 
 
-def _require_valid(f: MappingClass):
-    report = validate(f)
-    if not report.ok:
-        failing = "; ".join(f"{c.name}: {c.detail}" for c in report.checks
-                            if c.status == "fail")
-        raise ValidationFailure(f"mapping class rejected ({failing})")
-
-
 def present_mapping_torus(f: MappingClass) -> Presentation:
     """Presentation on a_1..b_g and gamma with one relator per surface
     generator: [alpha, gamma] f(alpha) alpha^-1."""
-    _require_valid(f)
+    require_valid(f)
     n = 2 * f.genus
     gamma = n + 1
     names = tuple(letter_name(j, f.genus) for j in range(1, gamma + 1))
@@ -71,7 +63,7 @@ def present_mapping_torus(f: MappingClass) -> Presentation:
 def present_filled(f: MappingClass) -> Presentation:
     """Presentation after filling: gamma is killed, leaving the relators
     f(alpha) alpha^-1 on the surface generators alone."""
-    _require_valid(f)
+    require_valid(f)
     n = 2 * f.genus
     names = tuple(letter_name(j, f.genus) for j in range(1, n + 1))
     relators = tuple(multiply(f.images[j - 1], Word((-j,)))

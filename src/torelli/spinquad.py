@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ArfNonZero, GenusMismatch, ParseError, ValidationFailure
-from .freegroup import MappingClass, abelianization, compose, validate
-from .johnson import TauValue, tau
+from .freegroup import (MappingClass, abelianization, compose, identity_class,
+                        require_valid)
+from .freelie import H1LieTensor
+from .johnson import tau
 
 H1Vector = tuple[int, ...]
 
@@ -202,11 +204,7 @@ def validate_descriptor(d: TorelliGenDescriptor) -> None:
             raise ValidationFailure("curve class of the wrong rank")
         if not any(d.curve_class):
             raise ValidationFailure("bp curve class must be nonzero")
-    report = validate(d.action)
-    if not report.ok:
-        failing = [c.name for c in report.checks if c.status == "fail"]
-        raise ValidationFailure(
-            f"descriptor {d.name!r} action fails checks: {', '.join(failing)}")
+    require_valid(d.action)
     ab = abelianization(d.action)
     if any(ab[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise ValidationFailure(
@@ -243,25 +241,16 @@ class Eta2Value:
     one Birman-Craggs bit per Arf-0 form, in enumeration order."""
 
     genus: int
-    tau2: TauValue
+    tau2: H1LieTensor
     rho_bits: tuple[int, ...]
 
     def is_trivial(self) -> bool:
         return self.tau2.is_zero() and not any(self.rho_bits)
 
 
-def composed_action(word: TorelliWord, genus: int) -> MappingClass:
-    """Left-fold of compose over the word's letters."""
-    from .freegroup import identity_class
-
-    f = identity_class(genus)
-    for desc, exp in word:
-        g = desc.action if exp >= 0 else desc.action.inverse()
-        f = compose(f, g)
-    return f
-
-
-def _word_genus(word: TorelliWord, genus: Optional[int]) -> int:
+def word_genus(word: TorelliWord, genus: Optional[int] = None) -> int:
+    """Genus of the word's actions, checked against ``genus`` when given;
+    an empty word needs the explicit genus."""
     if word:
         inferred = word[0][0].action.genus
         if genus is not None and genus != inferred:
@@ -273,16 +262,24 @@ def _word_genus(word: TorelliWord, genus: Optional[int]) -> int:
     return genus
 
 
+def composed_action(word: TorelliWord,
+                    genus: Optional[int] = None) -> MappingClass:
+    """Left fold of compose over the word's letters, starting from the
+    first letter; the empty word acts as the identity."""
+    g = word_genus(word, genus)
+    f = None
+    for desc, exp in word:
+        step = desc.action if exp >= 0 else desc.action.inverse()
+        f = step if f is None else compose(f, step)
+    return identity_class(g) if f is None else f
+
+
 def eta2(word: TorelliWord, genus: Optional[int] = None) -> Eta2Value:
     """tau_2 of the composed action together with all Birman-Craggs values."""
-    g = _word_genus(word, genus)
+    g = word_genus(word, genus)
     for desc, _exp in word:
         validate_descriptor(desc)
     f = composed_action(word, g)
     t2 = tau(f, 2)
     bits = tuple(rho(q, word) for q in enumerate_forms(g, arf_filter=0))
     return Eta2Value(g, t2, bits)
-
-
-def eta2_trivial(word: TorelliWord, genus: Optional[int] = None) -> bool:
-    return eta2(word, genus).is_trivial()

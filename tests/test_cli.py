@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from torelli.cli import main
@@ -31,6 +34,8 @@ def files(tmp_path_factory):
         "comm_tor": put("comm.tor", serialize_tor_file(2, [
             (ents["BSCC:1"], 1), (ents["BP:std"], 1),
             (ents["BSCC:1"], -1), (ents["BP:std"], -1)])),
+        "bad": put("bad.map", "genus 2\nmap\na1 -> a2\nb1 -> b2\n"
+                              "a2 -> a1\nb2 -> b1\n"),
         "root": str(root),
     }
 
@@ -283,6 +288,24 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "error: USAGE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["tau", "-k", "0", "-i", "{bp}"],
+        ["bordant", "-k", "0", "-i", "{bp}"],
+        ["morita-check", "-k", "0", "-i", "{bp}"],
+        ["tau-tower", "--max-k", "1", "-i", "{bp}"],
+        ["depth", "--max-k", "-1", "-i", "{bp}"],
+        ["blocks", "--genus", "2", "-k", "1"],
+        ["lie", "--genus", "2", "-k", "0"],
+        ["lie", "--genus", "0", "-k", "2"],
+    ], ids=" ".join)
+    def test_out_of_range_value_usage(self, capsys, files, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([tok.format(**files) for tok in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "error: USAGE\n"
+        assert "must be >= " in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv_key", ["tower", "eta2", "forms"])
@@ -295,3 +318,19 @@ class TestDeterminism:
         first = run(capsys, argv)
         second = run(capsys, argv)
         assert first == second
+
+
+# Exact stdout and exit code of every verb on the corpus above, recorded
+# before the Johnson-layer refactor; ``{key}`` names a corpus file.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("record", GOLDEN,
+                         ids=[" ".join(r["argv"]) for r in GOLDEN])
+def test_golden_output(capsys, files, record):
+    argv = [tok.format(**files) for tok in record["argv"]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (record["code"], record["stdout"])

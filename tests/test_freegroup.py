@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from torelli.errors import GenusMismatch, MissingInverse, NotReduced, ParseError
+from torelli.errors import (GenusMismatch, MissingInverse, NotReduced, ParseError,
+                            ValidationFailure)
 from torelli.freegroup import (
     CheckResult,
     MappingClass,
@@ -14,13 +15,13 @@ from torelli.freegroup import (
     compose,
     conjugate,
     format_word,
-    generators,
     identity_class,
     invert,
     letter_name,
     multiply,
     parse_word,
     reduce,
+    require_valid,
     validate,
     _int_det,
 )
@@ -139,11 +140,6 @@ class TestTokens:
             w = rand_word(rng, 3, rng.randint(0, 20))
             assert parse_word(format_word(w), genus=3) == w
 
-    def test_generators(self):
-        gens = generators(2)
-        assert [g.name for g in gens] == ["a1", "b1", "a2", "b2"]
-        assert [g.handle for g in gens] == [1, 1, 2, 2]
-        assert gens[2].word.letters == (3,)
 
 
 def twist_alpha(genus=1):
@@ -305,6 +301,13 @@ class TestValidate:
                          inverse_images=(Word((1,)), Word((2,))))
         rep = validate(f)
         assert {c.name: c.status for c in rep.checks}["inverse"] == "fail"
+
+    def test_require_valid_names_failed_checks(self):
+        require_valid(twist_alpha())
+        with pytest.raises(ValidationFailure) as err:
+            require_valid(MappingClass(1, (Word((2,)), Word((1,)))))
+        assert "boundary" in str(err.value)
+        assert "abelianization" not in str(err.value)
 
     def test_non_unimodular(self):
         f = MappingClass(1, (Word((1, 1)), Word((2,))))

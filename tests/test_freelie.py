@@ -70,6 +70,11 @@ class TestLyndon:
         assert lyndon_basis(2, 3) == [(1, 1, 2), (1, 2, 2)]
         assert lyndon_basis(2, 4) == [(1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2)]
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_enumeration_needs_a_letter(self, rank):
+        with pytest.raises(ValueError):
+            lyndon_words(rank, 2)
+
     def test_enumeration_is_lex_sorted_lyndon(self):
         words = lyndon_words(3, 4)
         assert words == sorted(words)

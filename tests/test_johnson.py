@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from torelli.errors import MissingInverse, NotInJk, ValidationFailure
@@ -14,12 +12,10 @@ from torelli.freegroup import (
     invert,
     multiply,
 )
-from torelli.freelie import LieElement, to_lyndon_coords
+from torelli.freelie import H1LieTensor, LieElement, to_lyndon_coords
 from torelli.johnson import (
-    ActionTable,
     DepthReport,
     MoritaReport,
-    TauValue,
     bordant,
     displacement_series,
     filtration_depth,
@@ -28,7 +24,6 @@ from torelli.johnson import (
     tau,
     tau_tower,
 )
-from torelli.magnus import magnus_expand
 from torelli.mcglib import bp_map
 
 from helpers import naive_magnus
@@ -131,7 +126,7 @@ class TestTau:
     def test_identity_zero(self):
         for k in (2, 3, 4):
             assert tau(identity_class(2), k).is_zero()
-        assert TauValue.zero(2, 3).is_zero()
+        assert H1LieTensor(2, 3, (LieElement.zero(4, 3),) * 4).is_zero()
 
     def test_boundary_twist_genus1_level3(self):
         t = tau(boundary_twist(1), 3)
@@ -181,9 +176,9 @@ class TestTau:
 
     def test_value_arithmetic_checks(self):
         with pytest.raises(ValueError):
-            TauValue.zero(1, 2).add(TauValue.zero(1, 3))
+            tau(identity_class(1), 2).add(tau(identity_class(1), 3))
         with pytest.raises(ValueError):
-            TauValue(1, 2, (LieElement.zero(2, 2),))
+            H1LieTensor(1, 2, (LieElement.zero(2, 2),))
         with pytest.raises(ValueError):
             tau(identity_class(1), 0)
 
@@ -361,55 +356,3 @@ class TestCommutatorLaw:
         assert doubled == single.add(single)
         # composing with a deeper class leaves tau2 alone
         assert tau(compose(bp, bscc1_twist(2)), 2) == single
-
-
-class TestActionTable:
-    def test_identity_table(self):
-        table = ActionTable.identity(2, 4)
-        assert table.depth_report().witnesses == (None,) * 4
-
-    def test_matches_direct_depth(self):
-        f = boundary_twist(1)
-        table = ActionTable.for_mapping_class(f, 4)
-        direct = filtration_depth(f, 4)
-        assert table.depth_report().witnesses == direct.witnesses
-
-    def test_matches_direct_tau(self):
-        f = boundary_twist(1)
-        table = ActionTable.for_mapping_class(f, 3)
-        assert table.tau(3) == tau(f, 3)
-
-    def test_tau_level_check(self):
-        table = ActionTable.for_mapping_class(humphries_alpha(), 3)
-        with pytest.raises(NotInJk):
-            table.tau(2)
-        with pytest.raises(ValueError):
-            table.tau(4)
-
-    def test_precompose_equals_direct_table(self):
-        rng = random.Random(13)
-        gens = [humphries_alpha(), humphries_beta(),
-                humphries_alpha().inverse(), humphries_beta().inverse()]
-        for _ in range(20):
-            picks = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
-            direct = identity_class(1)
-            table = ActionTable.identity(1, 3)
-            for g in picks:
-                direct = compose(direct, g)
-                table = table.precompose(g)
-            expected = ActionTable.for_mapping_class(direct, 3)
-            assert table.series == expected.series
-            assert table.inverse_series == expected.inverse_series
-
-    def test_precompose_depth_matches(self):
-        f, h = bscc1_twist(2), boundary_twist(2)
-        table = ActionTable.for_mapping_class(f, 4).precompose(h)
-        direct = filtration_depth(compose(f, h), 4)
-        assert table.depth_report().witnesses == direct.witnesses
-
-    def test_displacement_matches_expansion(self):
-        f = boundary_twist(1)
-        table = ActionTable.for_mapping_class(f, 4)
-        for j in (1, 2):
-            w = multiply(f.images[j - 1], Word((-j,)))
-            assert table.displacement(j) == magnus_expand(w, 2, 4)

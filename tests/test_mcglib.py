@@ -251,6 +251,28 @@ class TestParseTorFile:
         assert word[0][0].action.images == bp_map(2).action.images
         assert word[0][0].descriptor.curve_class == (0, 0, 1, 0)
 
+    def test_inline_bp_validates_its_action_once(self, monkeypatch):
+        import torelli.freegroup as fg
+        calls = []
+        original = fg.validate
+        monkeypatch.setattr(fg, "validate",
+                            lambda f: calls.append(f) or original(f))
+        action_text = serialize_map_file(bp_map(2).action)
+        text = ("genus 2\n"
+                "gen P bp class x2 pair (x1 y1) action t.map\n"
+                "word P\n")
+        parse_tor_file(text, load={"t.map": action_text}.__getitem__)
+        assert len(calls) == 1
+
+    def test_bp_action_failing_boundary_check(self):
+        swapped = ("genus 2\nmap\na1 -> a2\nb1 -> b2\na2 -> a1\nb2 -> b1\n")
+        text = ("genus 2\n"
+                "gen P bp class x2 pair (x1 y1) action t.map\n"
+                "word P\n")
+        with pytest.raises(ValidationFailure) as err:
+            parse_tor_file(text, load={"t.map": swapped}.__getitem__)
+        assert "boundary" in str(err.value)
+
     def test_bp_action_failing_torelli_gate(self):
         # a valid automorphism that moves H1 cannot back a descriptor
         moving = ("genus 2\nmap\na1 -> a1\nb1 -> b1 a1\na2 -> a2\nb2 -> b2\n")

@@ -9,7 +9,7 @@ from torelli.freegroup import (
     reduce,
 )
 from torelli.johnson import filtration_depth
-from torelli.magnus import lcs_degree
+from torelli.magnus import magnus_expand
 from torelli.mcglib import boundary_twist, bp_map, bscc_twist
 from torelli.present import (
     BlockRankReport,
@@ -86,7 +86,7 @@ class TestFilled:
                   boundary_twist(2).action, identity_class(2)):
             depth = filtration_depth(f).depth
             in_level = depth is None or depth >= k
-            relator_degrees = [lcs_degree(r, 4, cutoff=k)
+            relator_degrees = [magnus_expand(r, 4, k).min_positive_degree()
                                for r in present_filled(f).relators]
             all_deep = all(d is None or d >= k for d in relator_degrees)
             assert all_deep == in_level

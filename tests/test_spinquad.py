@@ -19,7 +19,6 @@ from torelli.spinquad import (
     composed_action,
     enumerate_forms,
     eta2,
-    eta2_trivial,
     form_literal,
     intersect,
     parse_form_literal,
@@ -296,12 +295,21 @@ class TestEta2:
         d1 = bscc_twist(2, 1).descriptor
         d2 = bp_map(2).descriptor
         word = [(d1, 1), (d2, 1), (d1, -1), (d2, -1)]
-        assert eta2_trivial(word)
+        assert eta2(word).is_trivial()
 
     def test_composed_action_is_left_fold(self):
         d = bp_map(2).descriptor
         f = composed_action([(d, 1), (d, -1)], 2)
         assert f.is_identity()
+
+    def test_composed_action_starts_from_first_letter(self):
+        d = bp_map(2).descriptor
+        assert composed_action([(d, 1)]) is d.action
+        assert composed_action([], 2).is_identity()
+        with pytest.raises(GenusMismatch):
+            composed_action([(d, 1)], 3)
+        with pytest.raises(GenusMismatch):
+            composed_action([])
 
     def test_genus3_bp_has_visible_rho(self):
         # with a spare handle the Arf condition no longer kills the
