@@ -16,7 +16,8 @@ from .freegroup import MappingClass, identity_class, letter_name, validate
 from .freelie import LieElement, lyndon_basis, standard_factorization, witt_dim
 from .johnson import (DEFAULT_DEPTH, DEFAULT_TOWER_MAX, bordant,
                       filtration_depth, morita_check, tau, tau_tower)
-from .mcglib import builtin_entries, parse_map_file, parse_tor_file
+from .mcglib import (builtin_entries, descriptor_spec, parse_map_file,
+                     parse_tor_file)
 from .present import eta_block_ranks, present_filled, present_mapping_torus
 from .spinquad import (composed_action, enumerate_forms, eta2, form_literal,
                        parse_form_literal, rho, word_genus)
@@ -236,21 +237,10 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_gens(args) -> int:
-    from .mcglib import _h1_sum_text
-
     entries = builtin_entries(args.genus)
     for name in sorted(entries):
         d = entries[name].descriptor
-        if d.kind == "bscc":
-            detail = "pairs " + "".join(
-                f"({_h1_sum_text(x, args.genus)} {_h1_sum_text(y, args.genus)})"
-                for x, y in d.pairs)
-        else:
-            x, y = d.pairs[0]
-            detail = (f"class {_h1_sum_text(d.curve_class, args.genus)} "
-                      f"pair ({_h1_sum_text(x, args.genus)} "
-                      f"{_h1_sum_text(y, args.genus)})")
-        print(f"{name} {d.kind} {detail}")
+        print(f"{name} {d.kind} {descriptor_spec(d)}")
     return 0
 
 
@@ -264,9 +254,8 @@ def cmd_validate(args) -> int:
         print("result: ok")
     else:
         # descriptors were validated during parsing; report the word
-        f = composed_action(descriptor_word(obj))
         print(f"word length: {len(obj)}")
-        print(f"genus: {f.genus}")
+        print(f"genus: {word_genus(descriptor_word(obj))}")
         print("result: ok")
     return 0
 

@@ -11,7 +11,8 @@ with the commutator convention [u, v] = u v u^-1 v^-1.
 
 A mapping class is recorded by the images of the 2g generators under the
 induced automorphism of the free group; any genuine mapping class fixes
-zeta exactly, which is the first validation check.
+zeta exactly, which is the first validation check.  The checks run once,
+when a class is built, so the operations on classes never repeat them.
 """
 
 from __future__ import annotations
@@ -185,16 +186,16 @@ class MappingClass:
     images of the standard generators.
 
     ``images[j-1]`` is the image of generator j.  ``inverse_images``, when
-    supplied, records the inverse automorphism and is cross-checked by
-    :func:`validate`; it is never computed by search.
-    ``torelli_decomposition`` optionally remembers the class as a word in
-    named library generators, as (name, +-1) pairs.
+    supplied, records the inverse automorphism; it is never computed by
+    search.  Building a class runs :func:`require_valid`, so an invalid
+    class raises ValidationFailure and every MappingClass in hand passes
+    :func:`validate`.  Results of :func:`compose`, :meth:`inverse` and
+    :func:`identity_class` are valid by construction and skip the check.
     """
 
     genus: int
     images: tuple[Word, ...]
     inverse_images: Optional[tuple[Word, ...]] = None
-    torelli_decomposition: Optional[tuple[tuple[str, int], ...]] = None
 
     def __post_init__(self):
         n = 2 * self.genus
@@ -215,6 +216,7 @@ class MappingClass:
                 if w.max_index() > n:
                     raise GenusMismatch(
                         f"inverse image uses index {w.max_index()} beyond 2g={n}")
+        require_valid(self)
 
     def is_identity(self) -> bool:
         return all(w.letters == (j,) for j, w in enumerate(self.images, start=1))
@@ -222,15 +224,28 @@ class MappingClass:
     def inverse(self) -> "MappingClass":
         if self.inverse_images is None:
             raise MissingInverse("mapping class carries no inverse images")
-        dec = None
-        if self.torelli_decomposition is not None:
-            dec = tuple((name, -e) for name, e in reversed(self.torelli_decomposition))
-        return MappingClass(self.genus, self.inverse_images, self.images, dec)
+        return _trusted(self.genus, self.inverse_images, self.images)
+
+
+def _trusted(genus: int, images: tuple[Word, ...],
+             inverse_images: Optional[tuple[Word, ...]] = None) -> MappingClass:
+    """Build a class without the checks of ``MappingClass.__post_init__``.
+
+    Only for classes valid by construction: composites and inverses of
+    valid classes, the built-in generator tables, and the temporaries
+    :func:`validate` builds (which must not validate themselves)."""
+    f = object.__new__(MappingClass)
+    object.__setattr__(f, "genus", genus)
+    object.__setattr__(f, "images", images)
+    object.__setattr__(f, "inverse_images", inverse_images)
+    return f
 
 
 def identity_class(genus: int) -> MappingClass:
+    if genus < 1:
+        raise GenusMismatch(f"genus must be >= 1, got {genus}")
     gens = tuple(Word((j,)) for j in range(1, 2 * genus + 1))
-    return MappingClass(genus, gens, gens, ())
+    return _trusted(genus, gens, gens)
 
 
 def apply(f: MappingClass, w: Word) -> Word:
@@ -255,20 +270,18 @@ def compose(f: MappingClass, h: MappingClass) -> MappingClass:
     """The mapping class acting as f after h.
 
     Images substitute h's images into f; inverse images (when both factors
-    carry them) compose the other way around.  Torelli decompositions
-    concatenate when both are present.
+    carry them) compose the other way around.  The composite of valid
+    classes fixes zeta, has determinant +-1 and is inverted by the
+    composite of the inverses, so it is built unchecked.
     """
     if f.genus != h.genus:
         raise GenusMismatch(f"genus mismatch: {f.genus} vs {h.genus}")
     images = tuple(apply(f, w) for w in h.images)
     inverse_images = None
     if f.inverse_images is not None and h.inverse_images is not None:
-        h_inv = MappingClass(h.genus, h.inverse_images)
+        h_inv = _trusted(h.genus, h.inverse_images)
         inverse_images = tuple(apply(h_inv, w) for w in f.inverse_images)
-    dec = None
-    if f.torelli_decomposition is not None and h.torelli_decomposition is not None:
-        dec = f.torelli_decomposition + h.torelli_decomposition
-    return MappingClass(f.genus, images, inverse_images, dec)
+    return _trusted(f.genus, images, inverse_images)
 
 
 def abelianization(f: MappingClass) -> list[list[int]]:
@@ -341,7 +354,7 @@ def validate(f: MappingClass) -> ValidationReport:
     if f.inverse_images is None:
         checks.append(CheckResult("inverse", "skipped", "inverse images not supplied"))
     else:
-        g_inv = MappingClass(f.genus, f.inverse_images)
+        g_inv = _trusted(f.genus, f.inverse_images)
         ok = (compose(f, g_inv).is_identity() and compose(g_inv, f).is_identity())
         checks.append(CheckResult("inverse", "pass" if ok else "fail",
                                   "two-sided inverse" if ok else

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import MissingInverse, NotInJk
-from .freegroup import (MappingClass, Word, compose, letter_name, multiply,
-                        require_valid)
+from .errors import NotInJk
+from .freegroup import MappingClass, Word, compose, letter_name, multiply
 from .freelie import H1LieTensor, LieElement, bracket_map
 from .magnus import DEFAULT_DEPTH, TruncatedSeries, magnus_expand
 
@@ -85,7 +84,6 @@ def _layer(series: list[TruncatedSeries], genus: int, k: int) -> H1LieTensor:
 
 def filtration_depth(f: MappingClass, cutoff: int = DEFAULT_DEPTH) -> DepthReport:
     """Largest certified filtration level of f, up to the cutoff."""
-    require_valid(f)
     series = displacement_series(f, cutoff)
     return DepthReport(f.genus, cutoff,
                        tuple(s.min_positive_degree() for s in series))
@@ -96,7 +94,6 @@ def tau(f: MappingClass, k: int) -> H1LieTensor:
     requires membership at level k."""
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    require_valid(f)
     series = displacement_series(f, k)
     _check_level(series, k)
     return _layer(series, f.genus, k)
@@ -127,36 +124,17 @@ def morita_check(f: MappingClass, k: int) -> MoritaReport:
     return MoritaReport(k, value.is_zero(), value)
 
 
-def _inverse_of(h: MappingClass,
-                library: Optional[dict[str, MappingClass]] = None) -> MappingClass:
-    if h.inverse_images is not None:
-        return h.inverse()
-    if h.torelli_decomposition is not None and library is not None:
-        inv = None
-        for name, power in reversed(h.torelli_decomposition):
-            gen = library[name]
-            step = gen.inverse() if power > 0 else gen
-            inv = step if inv is None else compose(inv, step)
-        if inv is not None:
-            return inv
-    raise MissingInverse("no inverse images and no resolvable decomposition")
-
-
-def bordant(f: MappingClass, h: MappingClass, k: int,
-            library: Optional[dict[str, MappingClass]] = None) -> bool:
+def bordant(f: MappingClass, h: MappingClass, k: int) -> bool:
     """Whether the level-k structures attached to f and h are bordant,
     i.e. f h^-1 sits at level 2k-1.
 
-    Both inputs must certify level k.  h must carry inverse images, or a
-    decomposition resolvable through ``library``.
+    Both inputs must certify level k, and h must carry inverse images.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    require_valid(f)
-    require_valid(h)
     _check_level(displacement_series(f, k), k)
     _check_level(displacement_series(h, k), k)
-    diff = compose(f, _inverse_of(h, library))
+    diff = compose(f, h.inverse())
     # membership at level 2k-1 needs no surviving term below degree 2k-1
     series = displacement_series(diff, 2 * k - 2)
     return all(s.min_positive_degree() is None for s in series)
@@ -180,7 +158,6 @@ def tau_tower(f: MappingClass, kmin: int = 2,
     kmax; stops at the first nonzero level or at kmax."""
     if not 1 <= kmin <= kmax:
         raise ValueError(f"bad level range {kmin}..{kmax}")
-    require_valid(f)
     series = displacement_series(f, kmax)
     _check_level(series, kmin)
     entries = []

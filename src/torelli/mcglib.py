@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import GenusMismatch, ParseError, ValidationFailure
-from .freegroup import (MappingClass, Word, boundary_word, commutator,
-                        conjugate, format_word, invert, letter_name, multiply,
-                        parse_word, reduce, require_valid)
-from .spinquad import (H1Vector, TorelliGenDescriptor, basis_vector,
-                       validate_descriptor)
+from .freegroup import (MappingClass, Word, _trusted, boundary_word,
+                        commutator, conjugate, format_word, invert,
+                        letter_name, multiply, parse_word, reduce)
+from .spinquad import H1Vector, TorelliGenDescriptor, basis_vector
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +73,8 @@ def _run_curve(start: int, end: int) -> Word:
 
 def _run_twist(genus: int, start: int, end: int) -> MappingClass:
     """Conjugate the handles in the run by the run's curve; fix the rest.
-    Fixes the boundary word because the run is contiguous."""
+    Fixes the boundary word because the run is contiguous, so the class is
+    built unchecked (the library tests validate every table)."""
     c = _run_curve(start, end)
     ci = invert(c)
     images, inverses = [], []
@@ -86,7 +86,7 @@ def _run_twist(genus: int, start: int, end: int) -> MappingClass:
         else:
             images.append(Word((j,)))
             inverses.append(Word((j,)))
-    return MappingClass(genus, tuple(images), tuple(inverses))
+    return _trusted(genus, tuple(images), tuple(inverses))
 
 
 def bscc_twist(genus: int, h: int) -> GeneratorEntry:
@@ -134,7 +134,7 @@ def _bp_std_action(genus: int) -> MappingClass:
     for j in range(5, 2 * genus + 1):
         images.append(Word((j,)))
         inverses.append(Word((j,)))
-    return MappingClass(genus, tuple(images), tuple(inverses))
+    return _trusted(genus, tuple(images), tuple(inverses))
 
 
 def bp_map(genus: int, layout: str = "std") -> GeneratorEntry:
@@ -212,8 +212,13 @@ def _parse_image_lines(lines, genus: int, aliases, header_ln: int):
     return tuple(images[j] for j in range(1, 2 * genus + 1)), last_ln
 
 
-def _parse_map_text(text: str) -> MappingClass:
-    """The class a .map file describes, not yet validated."""
+def parse_map_file(text: str) -> MappingClass:
+    """Parse a .map file; building the class validates it.
+
+    Layout: a genus line, optional `let <name> = <tokens>` aliases, a
+    `map` header with 2g image lines, and an optional `inverse` header
+    with 2g more.  Aliases may reference earlier aliases.
+    """
     lines = _meaningful_lines(text)
     genus = _parse_genus_line(lines)
     aliases: dict[str, Word] = {}
@@ -243,18 +248,6 @@ def _parse_map_text(text: str) -> MappingClass:
         if tail is not None:
             raise ParseError("unexpected content after the inverse block", tail[0])
     return MappingClass(genus, images, inverse_images)
-
-
-def parse_map_file(text: str) -> MappingClass:
-    """Parse and validate a .map file.
-
-    Layout: a genus line, optional `let <name> = <tokens>` aliases, a
-    `map` header with 2g image lines, and an optional `inverse` header
-    with 2g more.  Aliases may reference earlier aliases.
-    """
-    f = _parse_map_text(text)
-    require_valid(f)
-    return f
 
 
 def serialize_map_file(f: MappingClass) -> str:
@@ -340,7 +333,6 @@ def _inline_bscc(name: str, rest: str, genus: int, ln: int) -> GeneratorEntry:
     action = _run_twist(genus, handles[0], handles[-1])
     desc = TorelliGenDescriptor(name=name, kind="bscc", action=action,
                                 pairs=pairs)
-    validate_descriptor(desc)
     return GeneratorEntry(name, action, desc)
 
 
@@ -362,13 +354,12 @@ def _inline_bp(name: str, rest: str, genus: int, ln: int,
         action_text = load(path)
     except OSError as exc:
         raise ParseError(f"cannot read action file {path!r}: {exc}", ln) from exc
-    action = _parse_map_text(action_text)
+    action = parse_map_file(action_text)
     if action.genus != genus:
         raise ParseError(
             f"action file has genus {action.genus}, word has genus {genus}", ln)
     desc = TorelliGenDescriptor(name=name, kind="bp", action=action,
                                 curve_class=curve_class, pairs=pairs)
-    validate_descriptor(desc)
     return GeneratorEntry(name, action, desc, action_path=path)
 
 
@@ -445,22 +436,27 @@ def serialize_tor_file(genus: int,
         if d is None:
             raise ValidationFailure(
                 f"generator {entry.name!r} has no descriptor to serialize")
-        if d.kind == "bscc":
-            body = "pairs " + "".join(
-                f"({_h1_sum_text(x, genus)} {_h1_sum_text(y, genus)})"
-                for x, y in d.pairs)
-        else:
+        body = descriptor_spec(d)
+        if d.kind == "bp":
             if entry.action_path is None:
                 raise ValidationFailure(
                     f"bp generator {entry.name!r} has no action path to emit")
-            x, y = d.pairs[0]
-            body = (f"class {_h1_sum_text(d.curve_class, genus)} "
-                    f"pair ({_h1_sum_text(x, genus)} {_h1_sum_text(y, genus)}) "
-                    f"action {entry.action_path}")
+            body += f" action {entry.action_path}"
         out.write(f"gen {entry.name} {d.kind} {body}\n")
     toks = [e.name + ("'" if exp < 0 else "") for e, exp in word]
     out.write("word " + " ".join(toks) + "\n")
     return out.getvalue()
+
+
+def descriptor_spec(d: TorelliGenDescriptor) -> str:
+    """The `.tor` text of a descriptor's homology data: `pairs (..)(..)`
+    for bscc, `class .. pair (..)` for bp (its action path not included)."""
+    g = d.action.genus
+    pairs = "".join(f"({_h1_sum_text(x, g)} {_h1_sum_text(y, g)})"
+                    for x, y in d.pairs)
+    if d.kind == "bscc":
+        return "pairs " + pairs
+    return f"class {_h1_sum_text(d.curve_class, g)} pair {pairs}"
 
 
 def _h1_sum_text(v: H1Vector, genus: int) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import GenusMismatch
 from .freegroup import (MappingClass, Word, commutator, format_word,
-                        letter_name, multiply, reduce, require_valid)
+                        letter_name, multiply, reduce)
 from .freelie import witt_dim
 
 
@@ -48,7 +48,6 @@ class Presentation:
 def present_mapping_torus(f: MappingClass) -> Presentation:
     """Presentation on a_1..b_g and gamma with one relator per surface
     generator: [alpha, gamma] f(alpha) alpha^-1."""
-    require_valid(f)
     n = 2 * f.genus
     gamma = n + 1
     names = tuple(letter_name(j, f.genus) for j in range(1, gamma + 1))
@@ -63,7 +62,6 @@ def present_mapping_torus(f: MappingClass) -> Presentation:
 def present_filled(f: MappingClass) -> Presentation:
     """Presentation after filling: gamma is killed, leaving the relators
     f(alpha) alpha^-1 on the surface generators alone."""
-    require_valid(f)
     n = 2 * f.genus
     names = tuple(letter_name(j, f.genus) for j in range(1, n + 1))
     relators = tuple(multiply(f.images[j - 1], Word((-j,)))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ArfNonZero, GenusMismatch, ParseError, ValidationFailure
-from .freegroup import (MappingClass, abelianization, compose, identity_class,
-                        require_valid)
+from .freegroup import MappingClass, abelianization, compose, identity_class
 from .freelie import H1LieTensor
 from .johnson import tau
 
@@ -173,7 +172,8 @@ class TorelliGenDescriptor:
     symplectic basis of the bounded subsurface.  kind "bp": a bounding-pair
     map, with the pair's common homology class and a symplectic basis of
     the genus-1 cobounded subsurface.  ``action`` is the free-group action
-    used for the tau side of eta2.
+    used for the tau side of eta2.  Building a descriptor runs
+    :func:`validate_descriptor`, so one in hand has symplectic pairs.
     """
 
     name: str
@@ -189,11 +189,12 @@ class TorelliGenDescriptor:
             raise ValidationFailure("bp descriptor needs a curve class and one pair")
         if self.kind == "bscc" and self.curve_class is not None:
             raise ValidationFailure("bscc descriptor carries no curve class")
+        validate_descriptor(self)
 
 
 def validate_descriptor(d: TorelliGenDescriptor) -> None:
-    """Full invariant check: symplectic pairs, nonzero class for bp,
-    validated action lying in the kernel of the H1 action."""
+    """Full invariant check: symplectic pairs, nonzero class for bp, an
+    action (validated when it was built) in the kernel of the H1 action."""
     n = 2 * d.action.genus
     for x, y in d.pairs:
         if len(x) != n or len(y) != n:
@@ -204,7 +205,6 @@ def validate_descriptor(d: TorelliGenDescriptor) -> None:
             raise ValidationFailure("curve class of the wrong rank")
         if not any(d.curve_class):
             raise ValidationFailure("bp curve class must be nonzero")
-    require_valid(d.action)
     ab = abelianization(d.action)
     if any(ab[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise ValidationFailure(
@@ -220,18 +220,16 @@ def rho(q: QuadForm, word: TorelliWord) -> int:
     Rule for a bscc twist: Arf of q restricted to the bounded subsurface.
     Rule for a bp map: 0 when q is 1 on the pair's class, otherwise the
     restricted Arf of the cobounded genus-1 piece.  Exponents are
-    irrelevant in Z2.
+    irrelevant in Z2.  A descriptor's pairs were checked symplectic when it
+    was built, so the restricted Arf is summed directly.
     """
     if arf(q) != 0:
         raise ArfNonZero("Birman-Craggs homomorphisms exist only for Arf-0 forms")
     total = 0
     for desc, _exp in word:
-        if desc.kind == "bscc":
-            total += arf_on_pairs(q, desc.pairs)
-        else:
-            if q_eval(q, desc.curve_class) == 1:
-                continue
-            total += arf_on_pairs(q, desc.pairs)
+        if desc.kind == "bp" and q_eval(q, desc.curve_class) == 1:
+            continue
+        total += sum(q_eval(q, x) * q_eval(q, y) for x, y in desc.pairs)
     return total % 2
 
 
@@ -277,8 +275,6 @@ def composed_action(word: TorelliWord,
 def eta2(word: TorelliWord, genus: Optional[int] = None) -> Eta2Value:
     """tau_2 of the composed action together with all Birman-Craggs values."""
     g = word_genus(word, genus)
-    for desc, _exp in word:
-        validate_descriptor(desc)
     f = composed_action(word, g)
     t2 = tau(f, 2)
     bits = tuple(rho(q, word) for q in enumerate_forms(g, arf_filter=0))

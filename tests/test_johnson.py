@@ -29,7 +29,7 @@ from torelli.mcglib import bp_map
 from helpers import naive_magnus
 
 
-def conjugation_twist(genus, curve, handles, name="twist"):
+def conjugation_twist(genus, curve, handles):
     """Conjugate the generators of the listed handles by the curve word."""
     images, inv = [], []
     curve_inv = invert(curve)
@@ -40,17 +40,17 @@ def conjugation_twist(genus, curve, handles, name="twist"):
         else:
             images.append(Word((j,)))
             inv.append(Word((j,)))
-    return MappingClass(genus, tuple(images), tuple(inv), ((name, 1),))
+    return MappingClass(genus, tuple(images), tuple(inv))
 
 
 def boundary_twist(genus):
     return conjugation_twist(genus, boundary_word(genus),
-                             list(range(1, genus + 1)), "bdry")
+                             list(range(1, genus + 1)))
 
 
 def bscc1_twist(genus):
     c = commutator(Word((1,)), Word((2,)))
-    return conjugation_twist(genus, c, [1], "bscc1")
+    return conjugation_twist(genus, c, [1])
 
 
 def humphries_alpha(genus=1):
@@ -58,7 +58,7 @@ def humphries_alpha(genus=1):
     inv = list(images)
     images[1] = Word((2, 1))
     inv[1] = Word((2, -1))
-    return MappingClass(genus, tuple(images), tuple(inv), (("ta1", 1),))
+    return MappingClass(genus, tuple(images), tuple(inv))
 
 
 def humphries_beta(genus=1):
@@ -66,7 +66,7 @@ def humphries_beta(genus=1):
     inv = list(images)
     images[0] = Word((1, -2))
     inv[0] = Word((1, 2))
-    return MappingClass(genus, tuple(images), tuple(inv), (("tb1", 1),))
+    return MappingClass(genus, tuple(images), tuple(inv))
 
 
 class TestDepthReport:
@@ -107,9 +107,8 @@ class TestFiltrationDepth:
         assert r.witnesses == (None, 1)
 
     def test_validation_propagates(self):
-        bad = MappingClass(1, (Word((2,)), Word((1,))))
-        with pytest.raises(ValidationFailure):
-            filtration_depth(bad, 3)
+        with pytest.raises(ValidationFailure, match="boundary"):
+            filtration_depth(MappingClass(1, (Word((2,)), Word((1,)))), 3)
 
     def test_displacement_series_match_naive(self):
         f = boundary_twist(1)
@@ -262,15 +261,7 @@ class TestBordant:
 
     def test_missing_inverse(self):
         f = boundary_twist(1)
-        h = MappingClass(1, f.images)  # no inverse images, no decomposition
-        with pytest.raises(MissingInverse):
-            bordant(f, h, 2)
-
-    def test_inverse_from_library(self):
-        f = boundary_twist(1)
-        h = MappingClass(1, f.images, None, (("bdry", 1),))
-        library = {"bdry": boundary_twist(1)}
-        assert bordant(f, h, 2, library=library)
+        h = MappingClass(1, f.images)  # no inverse images
         with pytest.raises(MissingInverse):
             bordant(f, h, 2)
 

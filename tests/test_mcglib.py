@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli.errors import GenusMismatch, ParseError, ValidationFailure
 from torelli.freegroup import (
+    MappingClass,
     Word,
     boundary_word,
     commutator,
@@ -121,6 +124,19 @@ class TestBpMap:
         assert t2.components[3].coords == {(1, 2): 1}
 
 
+def handle_twists(genus):
+    """Twists about the a_i and b_i curves (b_i -> b_i a_i, a_i -> a_i b_i')."""
+    out = []
+    for i in range(1, genus + 1):
+        a, b = 2 * i - 1, 2 * i
+        for j, image, inverse in ((b, (b, a), (b, -a)), (a, (a, -b), (a, b))):
+            images = [Word((k,)) for k in range(1, 2 * genus + 1)]
+            inverses = list(images)
+            images[j - 1], inverses[j - 1] = Word(image), Word(inverse)
+            out.append(MappingClass(genus, tuple(images), tuple(inverses)))
+    return out
+
+
 class TestBuiltinEntries:
     def test_names_genus2(self):
         assert set(builtin_entries(2)) == {"BDRY", "BSCC:1", "BP:std"}
@@ -129,10 +145,28 @@ class TestBuiltinEntries:
         assert set(builtin_entries(1)) == {"BDRY"}
 
     def test_all_validate(self):
-        for g in (1, 2, 3):
+        # the tables are built unchecked, so this pins them
+        for g in range(1, 9):
             for entry in builtin_entries(g).values():
                 assert validate(entry.action).ok
                 validate_descriptor(entry.descriptor)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_composites_validate(self, data):
+        # compose and inverse build their results unchecked; the built-ins
+        # commute with each other, so the handle twists join the alphabet
+        genus = data.draw(st.integers(2, 4))
+        alphabet = ([e.action for e in builtin_entries(genus).values()]
+                    + handle_twists(genus))
+        letters = data.draw(st.lists(
+            st.tuples(st.integers(0, len(alphabet) - 1), st.booleans()),
+            max_size=6))
+        f = identity_class(genus)
+        for i, inv in letters:
+            f = compose(f, alphabet[i].inverse() if inv else alphabet[i])
+        assert validate(f).ok
+        assert validate(f.inverse()).ok
 
 
 IDENTITY_MAP = """\

@@ -48,9 +48,8 @@ class TestMappingTorus:
             assert rel == reduce(rel.letters)
 
     def test_rejects_invalid(self):
-        broken = MappingClass(1, (Word((2,)), Word((1,))))
-        with pytest.raises(ValidationFailure):
-            present_mapping_torus(broken)
+        with pytest.raises(ValidationFailure, match="boundary"):
+            present_mapping_torus(MappingClass(1, (Word((2,)), Word((1,)))))
 
     def test_text_format(self):
         p = present_mapping_torus(identity_class(1))

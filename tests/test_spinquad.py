@@ -199,22 +199,20 @@ class TestDescriptors:
 
     def test_zero_curve_class_rejected(self):
         action = bp_map(2).action
-        d = TorelliGenDescriptor(
-            name="bad", kind="bp", action=action,
-            curve_class=(0, 0, 0, 0),
-            pairs=((basis_vector(2, 1), basis_vector(2, 2)),))
-        with pytest.raises(ValidationFailure):
-            validate_descriptor(d)
+        with pytest.raises(ValidationFailure, match="curve class must be nonzero"):
+            TorelliGenDescriptor(
+                name="bad", kind="bp", action=action,
+                curve_class=(0, 0, 0, 0),
+                pairs=((basis_vector(2, 1), basis_vector(2, 2)),))
 
     def test_action_outside_torelli_rejected(self):
         # a plain twist moves H1, so it cannot carry a descriptor
         moved = MappingClass(2, (Word((1,)), Word((2, 1)), Word((3,)), Word((4,))),
                              (Word((1,)), Word((2, -1)), Word((3,)), Word((4,))))
-        d = TorelliGenDescriptor(
-            name="bad", kind="bscc", action=moved,
-            pairs=((basis_vector(2, 1), basis_vector(2, 2)),))
-        with pytest.raises(ValidationFailure):
-            validate_descriptor(d)
+        with pytest.raises(ValidationFailure, match="act trivially on H1"):
+            TorelliGenDescriptor(
+                name="bad", kind="bscc", action=moved,
+                pairs=((basis_vector(2, 1), basis_vector(2, 2)),))
 
 
 class TestRho:
