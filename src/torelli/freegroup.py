@@ -248,6 +248,12 @@ def identity_class(genus: int) -> MappingClass:
     return _trusted(genus, gens, gens)
 
 
+def displacements(f: MappingClass) -> tuple[Word, ...]:
+    """The words f(alpha_j) alpha_j^-1, one per generator j."""
+    return tuple(multiply(image, Word((-j,)))
+                 for j, image in enumerate(f.images, start=1))
+
+
 def apply(f: MappingClass, w: Word) -> Word:
     """Image of a word under the automorphism induced by f, reduced."""
     n = 2 * f.genus

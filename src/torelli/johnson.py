@@ -20,10 +20,11 @@ coordinates.  Key facts wired into this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import NotInJk
-from .freegroup import MappingClass, Word, compose, letter_name, multiply
+from .freegroup import (MappingClass, Word, compose, displacements,
+                        letter_name)
 from .freelie import H1LieTensor, LieElement, bracket_map
 from .magnus import DEFAULT_DEPTH, TruncatedSeries, magnus_expand
 
@@ -56,16 +57,28 @@ class DepthReport:
 
 
 def displacement_series(f: MappingClass, cutoff: int) -> list[TruncatedSeries]:
-    """Expansions of f(alpha_j) alpha_j^-1 for every generator j."""
+    """Expansions of f(alpha_j) alpha_j^-1 for every generator j, each in
+    full up to degree ``cutoff``."""
     rank = 2 * f.genus
-    out = []
-    for j, image in enumerate(f.images, start=1):
-        w = multiply(image, Word((-j,)))
-        out.append(magnus_expand(w, rank, cutoff))
-    return out
+    return [magnus_expand(w, rank, cutoff) for w in displacements(f)]
 
 
-def _check_level(series: list[TruncatedSeries], k: int):
+def _until_moves(w: Word, rank: int, cutoff: int) -> TruncatedSeries:
+    """Expansion of w at the lowest cutoff c <= ``cutoff`` at which a
+    positive degree survives, else at ``cutoff``.
+
+    Either way no degree below the returned cutoff survives, and the
+    surviving degree (if any) is exact: it is the lowest degree of the
+    full expansion.
+    """
+    for c in range(1, cutoff):
+        s = magnus_expand(w, rank, c)
+        if s.min_positive_degree() is not None:
+            return s
+    return magnus_expand(w, rank, cutoff)
+
+
+def _check_level(series: Iterable[TruncatedSeries], k: int):
     # no term of degree < k may survive in any generator's displacement
     for j, s in enumerate(series, start=1):
         d = s.min_positive_degree()
@@ -83,10 +96,12 @@ def _layer(series: list[TruncatedSeries], genus: int, k: int) -> H1LieTensor:
 
 
 def filtration_depth(f: MappingClass, cutoff: int = DEFAULT_DEPTH) -> DepthReport:
-    """Largest certified filtration level of f, up to the cutoff."""
-    series = displacement_series(f, cutoff)
-    return DepthReport(f.genus, cutoff,
-                       tuple(s.min_positive_degree() for s in series))
+    """Largest certified filtration level of f, up to the cutoff; each
+    displacement is expanded only until it moves."""
+    rank = 2 * f.genus
+    return DepthReport(f.genus, cutoff, tuple(
+        _until_moves(w, rank, cutoff).min_positive_degree()
+        for w in displacements(f)))
 
 
 def tau(f: MappingClass, k: int) -> H1LieTensor:
@@ -132,12 +147,16 @@ def bordant(f: MappingClass, h: MappingClass, k: int) -> bool:
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    _check_level(displacement_series(f, k), k)
-    _check_level(displacement_series(h, k), k)
+    rank = 2 * f.genus
+    # only degrees below k decide level k; each check stops at the first
+    # generator that moves
+    for g in (f, h):
+        _check_level((magnus_expand(w, rank, k - 1)
+                      for w in displacements(g)), k)
     diff = compose(f, h.inverse())
     # membership at level 2k-1 needs no surviving term below degree 2k-1
-    series = displacement_series(diff, 2 * k - 2)
-    return all(s.min_positive_degree() is None for s in series)
+    return all(magnus_expand(w, rank, 2 * k - 2).min_positive_degree() is None
+               for w in displacements(diff))
 
 
 @dataclass(frozen=True)
@@ -154,11 +173,24 @@ class TowerReport:
 
 def tau_tower(f: MappingClass, kmin: int = 2,
               kmax: int = DEFAULT_TOWER_MAX) -> TowerReport:
-    """Values at levels kmin, kmin+1, ... read off one expansion at degree
-    kmax; stops at the first nonzero level or at kmax."""
+    """Values at levels kmin, kmin+1, ...; stops at the first nonzero level
+    or at kmax.
+
+    Each generator is expanded only until it moves, and never past the
+    lowest degree found so far (where the first nonzero level sits), so
+    every expansion is exact at each level the loop reads.
+    """
     if not 1 <= kmin <= kmax:
         raise ValueError(f"bad level range {kmin}..{kmax}")
-    series = displacement_series(f, kmax)
+    rank = 2 * f.genus
+    series = []
+    cap = kmax
+    for w in displacements(f):
+        s = _until_moves(w, rank, cap)
+        series.append(s)
+        d = s.min_positive_degree()
+        if d is not None:
+            cap = d
     _check_level(series, kmin)
     entries = []
     first_nonzero = None

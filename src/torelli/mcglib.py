@@ -152,14 +152,26 @@ def bp_map(genus: int, layout: str = "std") -> GeneratorEntry:
     return GeneratorEntry("BP:std", action, desc)
 
 
-def builtin_entries(genus: int) -> dict[str, GeneratorEntry]:
+def _builtin_names(genus: int) -> list[str]:
     """Names available in .tor files without declaration."""
-    out = {"BDRY": boundary_twist(genus)}
-    for h in range(1, genus):
-        out[f"BSCC:{h}"] = bscc_twist(genus, h)
+    names = ["BDRY"] + [f"BSCC:{h}" for h in range(1, genus)]
     if genus >= 2:
-        out["BP:std"] = bp_map(genus)
-    return out
+        names.append("BP:std")
+    return names
+
+
+def _builtin(genus: int, name: str) -> GeneratorEntry:
+    """Build the built-in generator of one of :func:`_builtin_names`."""
+    if name == "BDRY":
+        return boundary_twist(genus)
+    if name == "BP:std":
+        return bp_map(genus)
+    return bscc_twist(genus, int(name[len("BSCC:"):]))
+
+
+def builtin_entries(genus: int) -> dict[str, GeneratorEntry]:
+    """Every built-in generator at this genus, by name."""
+    return {name: _builtin(genus, name) for name in _builtin_names(genus)}
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +386,14 @@ def parse_tor_file(text: str,
     """Parse a .tor file into its Torelli word.
 
     Layout: a genus line, `gen` declarations, and a final `word` line.
-    Built-in names (BDRY, BSCC:h, BP:std) need no declaration.  ``load``
-    maps a bp action path to that file's text.
+    Built-in names (BDRY, BSCC:h, BP:std) need no declaration; each is
+    built once, when the word first names it.  ``load`` maps a bp action
+    path to that file's text.
     """
     lines = _meaningful_lines(text)
     genus = _parse_genus_line(lines)
-    entries = builtin_entries(genus)
-    declared: list[str] = []
+    builtins = set(_builtin_names(genus))
+    entries: dict[str, GeneratorEntry] = {}
     word_line = None
     for ln, body in lines:
         head, _, rest = body.partition(" ")
@@ -392,7 +405,7 @@ def parse_tor_file(text: str,
         name, _, spec_rest = rest.strip().partition(" ")
         if not name:
             raise ParseError("missing generator name", ln)
-        if name in entries:
+        if name in entries or name in builtins:
             raise ParseError(f"generator {name!r} already defined", ln)
         kind, _, tail = spec_rest.strip().partition(" ")
         if kind == "bscc":
@@ -401,7 +414,6 @@ def parse_tor_file(text: str,
             entries[name] = _inline_bp(name, tail.strip(), genus, ln, load)
         else:
             raise ParseError(f"unknown generator kind {kind!r}", ln)
-        declared.append(name)
     if word_line is None:
         raise ParseError("missing `word` line")
     ln, body = word_line
@@ -415,7 +427,9 @@ def parse_tor_file(text: str,
         if name.endswith("'"):
             name, exp = name[:-1], -1
         if name not in entries:
-            raise ParseError(f"unknown generator name {name!r}", ln)
+            if name not in builtins:
+                raise ParseError(f"unknown generator name {name!r}", ln)
+            entries[name] = _builtin(genus, name)
         letters.append((entries[name], exp))
     return tuple(letters)
 
@@ -424,7 +438,7 @@ def serialize_tor_file(genus: int,
                        word: tuple[tuple[GeneratorEntry, int], ...]) -> str:
     """Emit .tor text for a word; built-ins stay bare, inline generators
     are re-declared from their descriptors."""
-    builtins = builtin_entries(genus)
+    builtins = set(_builtin_names(genus))
     out = io.StringIO()
     out.write(f"genus {genus}\n")
     seen = set()

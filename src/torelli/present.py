@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GenusMismatch
-from .freegroup import (MappingClass, Word, commutator, format_word,
-                        letter_name, multiply, reduce)
+from .freegroup import (MappingClass, Word, commutator, displacements,
+                        format_word, letter_name, multiply)
 from .freelie import witt_dim
 
 
@@ -51,12 +51,9 @@ def present_mapping_torus(f: MappingClass) -> Presentation:
     n = 2 * f.genus
     gamma = n + 1
     names = tuple(letter_name(j, f.genus) for j in range(1, gamma + 1))
-    relators = []
-    for j in range(1, n + 1):
-        rel = multiply(commutator(Word((j,)), Word((gamma,))),
-                       multiply(f.images[j - 1], Word((-j,))))
-        relators.append(rel)
-    return Presentation(f.genus, names, tuple(relators))
+    relators = tuple(multiply(commutator(Word((j,)), Word((gamma,))), d)
+                     for j, d in enumerate(displacements(f), start=1))
+    return Presentation(f.genus, names, relators)
 
 
 def present_filled(f: MappingClass) -> Presentation:
@@ -64,20 +61,7 @@ def present_filled(f: MappingClass) -> Presentation:
     f(alpha) alpha^-1 on the surface generators alone."""
     n = 2 * f.genus
     names = tuple(letter_name(j, f.genus) for j in range(1, n + 1))
-    relators = tuple(multiply(f.images[j - 1], Word((-j,)))
-                     for j in range(1, n + 1))
-    return Presentation(f.genus, names, relators)
-
-
-def strip_gamma(p: Presentation) -> Presentation:
-    """Delete gamma from every relator and re-reduce; the filling quotient."""
-    if not p.has_gamma:
-        return p
-    gamma = 2 * p.genus + 1
-    names = p.generator_names[:-1]
-    relators = tuple(reduce([x for x in r.letters if abs(x) != gamma])
-                     for r in p.relators)
-    return Presentation(p.genus, names, relators)
+    return Presentation(f.genus, names, displacements(f))
 
 
 @dataclass(frozen=True, slots=True)

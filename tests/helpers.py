@@ -1,6 +1,11 @@
 """Independent slow-path oracles used to pin down the fast implementations."""
 
-from torelli.freegroup import Word, commutator, reduce
+from torelli.errors import NotInJk
+from torelli.freegroup import (MappingClass, Word, commutator, compose,
+                               letter_name, multiply, reduce)
+from torelli.freelie import H1LieTensor, LieElement
+from torelli.magnus import magnus_expand
+from torelli.present import Presentation
 
 
 def rand_word(rng, rank, length):
@@ -48,3 +53,140 @@ def nested_commutator(words) -> Word:
     for w in words[1:]:
         acc = commutator(acc, w)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Fox calculus on the integral group ring: a second, independent route to
+# the Magnus coefficients
+
+RingElement = dict[tuple[int, ...], int]
+
+
+def _word_fox(letters: tuple[int, ...], j: int) -> RingElement:
+    out: RingElement = {}
+    for p, x in enumerate(letters):
+        if x == j:
+            key = letters[:p]
+            out[key] = out.get(key, 0) + 1
+        elif x == -j:
+            key = letters[:p + 1]
+            out[key] = out.get(key, 0) - 1
+    return {k: c for k, c in out.items() if c}
+
+
+def fox_derivative(element, j: int) -> RingElement:
+    """Free derivative with respect to generator j of a Word or a ring
+    element, extended linearly.
+
+    Satisfies d(uv) = d(u) + u d(v), d(a_j) = 1, d(a_j^-1) = -a_j^-1.
+    """
+    if isinstance(element, Word):
+        element = {element.letters: 1}
+    out: RingElement = {}
+    for letters, coeff in element.items():
+        for key, c in _word_fox(letters, j).items():
+            out[key] = out.get(key, 0) + coeff * c
+    return {k: c for k, c in out.items() if c}
+
+
+def augmentation(element: RingElement) -> int:
+    return sum(element.values())
+
+
+def fox_coefficient(w: Word, mono) -> int:
+    """Coefficient of t_{j1}...t_{jk} in the expansion of w, via iterated
+    derivatives: innermost derivative is the last variable of the monomial.
+    """
+    element: RingElement = {w.letters: 1}
+    for j in reversed(tuple(mono)):
+        element = fox_derivative(element, j)
+        if not element:
+            return 0
+    return augmentation(element)
+
+
+def strip_gamma(p: Presentation) -> Presentation:
+    """Delete gamma from every relator and re-reduce; the filling quotient."""
+    if not p.has_gamma:
+        return p
+    gamma = 2 * p.genus + 1
+    names = p.generator_names[:-1]
+    relators = tuple(reduce([x for x in r.letters if abs(x) != gamma])
+                     for r in p.relators)
+    return Presentation(p.genus, names, relators)
+
+
+def handle_twists(genus):
+    """Twists about the a_i and b_i curves (b_i -> b_i a_i, a_i -> a_i b_i')."""
+    out = []
+    for i in range(1, genus + 1):
+        a, b = 2 * i - 1, 2 * i
+        for j, image, inverse in ((b, (b, a), (b, -a)), (a, (a, -b), (a, b))):
+            images = [Word((k,)) for k in range(1, 2 * genus + 1)]
+            inverses = list(images)
+            images[j - 1], inverses[j - 1] = Word(image), Word(inverse)
+            out.append(MappingClass(genus, tuple(images), tuple(inverses)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The Johnson verbs by the full-cutoff rule: every displacement
+# f(alpha_j) alpha_j^-1 expanded in full up to the cutoff, with nothing
+# stopped early.  A verb that raises NotInJk is recorded as
+# ("NotInJk", witness, degree).
+
+def full_expansions(f, cutoff):
+    rank = 2 * f.genus
+    return [magnus_expand(multiply(image, Word((-j,))), rank, cutoff)
+            for j, image in enumerate(f.images, start=1)]
+
+
+def _first_below(series, k):
+    for j, s in enumerate(series, start=1):
+        d = s.min_positive_degree()
+        if d is not None and d < k:
+            return ("NotInJk", letter_name(j), d)
+    return None
+
+
+def full_depth_witnesses(f, cutoff):
+    return tuple(s.min_positive_degree() for s in full_expansions(f, cutoff))
+
+
+def full_tower(f, kmin, kmax):
+    """(entries, first_nonzero) of the level values kmin.. off one
+    expansion at kmax, stopping at the first nonzero one."""
+    series = full_expansions(f, kmax)
+    below = _first_below(series, kmin)
+    if below:
+        return below
+    entries, first_nonzero = [], None
+    for k in range(kmin, kmax + 1):
+        value = H1LieTensor(f.genus, k, tuple(
+            LieElement.from_polynomial(2 * f.genus, k, s.degree_terms(k))
+            for s in series))
+        entries.append((k, value))
+        if not value.is_zero():
+            first_nonzero = k
+            break
+    return tuple(entries), first_nonzero
+
+
+def full_bordant(f, h, k):
+    """Whether f h^-1 has no surviving degree below 2k-1, after checking
+    that f and h have none below k."""
+    for g in (f, h):
+        below = _first_below(full_expansions(g, k), k)
+        if below:
+            return below
+    diff = compose(f, h.inverse())
+    return all(s.min_positive_degree() is None
+               for s in full_expansions(diff, 2 * k - 2))
+
+
+def outcome(fn, *args):
+    """fn(*args), or ("NotInJk", witness, degree) where it raises NotInJk."""
+    try:
+        return fn(*args)
+    except NotInJk as exc:
+        return ("NotInJk", exc.witness, exc.degree)

@@ -29,10 +29,12 @@ from torelli.johnson import (
     symplectic_dual,
     tau,
 )
-from torelli.magnus import augmentation, fox_derivative, magnus_expand
+from torelli.magnus import magnus_expand
 from torelli.mcglib import boundary_twist, builtin_entries
 from torelli.present import eta_block_ranks, present_filled
 from torelli.spinquad import QuadForm, arf, enumerate_forms, eta2, q_eval
+
+from helpers import augmentation, fox_derivative
 
 # ---------------------------------------------------------------------------
 # shared sweep: all words of length <= 3 over the genus-2 library

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli.errors import MissingInverse, NotInJk, ValidationFailure
 from torelli.freegroup import (
@@ -16,6 +18,7 @@ from torelli.freelie import H1LieTensor, LieElement, to_lyndon_coords
 from torelli.johnson import (
     DepthReport,
     MoritaReport,
+    TowerReport,
     bordant,
     displacement_series,
     filtration_depth,
@@ -24,9 +27,10 @@ from torelli.johnson import (
     tau,
     tau_tower,
 )
-from torelli.mcglib import bp_map
+from torelli.mcglib import bp_map, builtin_entries
 
-from helpers import naive_magnus
+from helpers import (full_bordant, full_depth_witnesses, full_tower,
+                     handle_twists, naive_magnus, outcome)
 
 
 def conjugation_twist(genus, curve, handles):
@@ -347,3 +351,63 @@ class TestCommutatorLaw:
         assert doubled == single.add(single)
         # composing with a deeper class leaves tau2 alone
         assert tau(compose(bp, bscc1_twist(2)), 2) == single
+
+
+@st.composite
+def classes(draw, genus, torelli=False):
+    """t c t^-1, or (unless ``torelli``) t c t^-1 e: c a product of one to
+    three built-ins or their inverses, t and e products of handle twists.
+    Without e the class is in the Torelli group, at depth 2, 3 or deeper;
+    with e it usually is not, and moves at degree 1."""
+    builtins = [e.action for e in builtin_entries(genus).values()]
+    twists = handle_twists(genus)
+
+    def product(alphabet, min_size, max_size):
+        f = identity_class(genus)
+        for i, inv in draw(st.lists(
+                st.tuples(st.integers(0, len(alphabet) - 1), st.booleans()),
+                min_size=min_size, max_size=max_size)):
+            f = compose(f, alphabet[i].inverse() if inv else alphabet[i])
+        return f
+
+    t = product(twists, 0, 2)
+    f = compose(compose(t, product(builtins, 1, 3)), t.inverse())
+    if not torelli and draw(st.booleans()):
+        f = compose(f, product(twists, 1, 2))
+    return f
+
+
+class TestAgainstFullCutoff:
+    # each verb expands a displacement only as far as its answer needs;
+    # the answers must be those read off full expansions at the cutoff.
+    # The levels are drawn before the classes, which keeps them spread.
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_filtration_depth(self, data):
+        genus = data.draw(st.integers(2, 3))
+        cutoff = data.draw(st.integers(0, 6))
+        f = data.draw(classes(genus))
+        assert filtration_depth(f, cutoff).witnesses == \
+            full_depth_witnesses(f, cutoff)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tau_tower(self, data):
+        genus = data.draw(st.integers(2, 3))
+        kmax = data.draw(st.integers(1, 6))
+        kmin = data.draw(st.integers(1, kmax))
+        f = data.draw(classes(genus))
+        rep = outcome(tau_tower, f, kmin, kmax)
+        if isinstance(rep, TowerReport):
+            rep = (rep.entries, rep.first_nonzero)
+        assert rep == full_tower(f, kmin, kmax)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bordant(self, data):
+        genus = data.draw(st.integers(2, 3))
+        k = data.draw(st.integers(1, 4))
+        f = data.draw(classes(genus))
+        h = data.draw(classes(genus, torelli=True))
+        assert outcome(bordant, f, h, k) == full_bordant(f, h, k)

@@ -6,16 +6,10 @@ from hypothesis import strategies as st
 
 from torelli.errors import GenusMismatch
 from torelli.freegroup import Word, boundary_word, commutator, invert, multiply, reduce
-from torelli.magnus import (
-    DEFAULT_DEPTH,
-    TruncatedSeries,
-    augmentation,
-    fox_coefficient,
-    fox_derivative,
-    magnus_expand,
-)
+from torelli.magnus import DEFAULT_DEPTH, TruncatedSeries, magnus_expand
 
-from helpers import (flatten_series, naive_magnus, nested_commutator,
+from helpers import (augmentation, flatten_series, fox_coefficient,
+                     fox_derivative, naive_magnus, nested_commutator,
                      poly_mul, rand_word)
 
 letters_st = st.lists(
@@ -84,6 +78,17 @@ class TestMagnus:
             w = rand_word(rng, rank, rng.randint(0, 12))
             assert flatten_series(magnus_expand(w, rank, cutoff)) == \
                 naive_magnus(w, cutoff)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_matches_naive_oracle(self, data):
+        rank = data.draw(st.integers(1, 6))
+        cutoff = data.draw(st.integers(0, 6))
+        letter = st.integers(1, rank).flatmap(
+            lambda j: st.sampled_from([j, -j]))
+        w = reduce(data.draw(st.lists(letter, max_size=10)))
+        assert flatten_series(magnus_expand(w, rank, cutoff)) == \
+            naive_magnus(w, cutoff)
 
     @settings(deadline=None, max_examples=60)
     @given(letters_st, letters_st)

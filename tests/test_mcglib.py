@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from torelli.errors import GenusMismatch, ParseError, ValidationFailure
 from torelli.freegroup import (
-    MappingClass,
     Word,
     boundary_word,
     commutator,
@@ -29,6 +28,8 @@ from torelli.mcglib import (
     serialize_tor_file,
 )
 from torelli.spinquad import composed_action, validate_descriptor
+
+from helpers import handle_twists
 
 
 class TestSurfaceModel:
@@ -122,19 +123,6 @@ class TestBpMap:
         t2 = tau(bp_map(2).action, 2)
         assert t2.components[2].is_zero()
         assert t2.components[3].coords == {(1, 2): 1}
-
-
-def handle_twists(genus):
-    """Twists about the a_i and b_i curves (b_i -> b_i a_i, a_i -> a_i b_i')."""
-    out = []
-    for i in range(1, genus + 1):
-        a, b = 2 * i - 1, 2 * i
-        for j, image, inverse in ((b, (b, a), (b, -a)), (a, (a, -b), (a, b))):
-            images = [Word((k,)) for k in range(1, 2 * genus + 1)]
-            inverses = list(images)
-            images[j - 1], inverses[j - 1] = Word(image), Word(inverse)
-            out.append(MappingClass(genus, tuple(images), tuple(inverses)))
-    return out
 
 
 class TestBuiltinEntries:
@@ -257,6 +245,31 @@ class TestParseTorFile:
         with pytest.raises(ParseError) as err:
             parse_tor_file("genus 2\nword T9\n")
         assert "T9" in str(err.value)
+
+    def test_builds_only_named_builtins(self, monkeypatch):
+        import torelli.mcglib as mcg
+        built = []
+        for name in ("boundary_twist", "bscc_twist", "bp_map"):
+            original = getattr(mcg, name)
+            monkeypatch.setattr(mcg, name, lambda *a, _f=original, _n=name:
+                                built.append(_n) or _f(*a))
+        word = parse_tor_file("genus 6\nword BSCC:2 BSCC:2' BSCC:2\n")
+        assert built == ["bscc_twist"]
+        assert word[0][0] is word[1][0] is word[2][0]
+        assert word[0][0].action.images == bscc_twist(6, 2).action.images
+
+    @pytest.mark.parametrize("text,message", [
+        ("genus 2\ngen BDRY bscc pairs (x1 y1)\nword BDRY\n",
+         "generator 'BDRY' already defined"),
+        ("genus 2\ngen T bscc pairs (x1 y1)\ngen T bscc pairs (x2 y2)\n"
+         "word T\n", "generator 'T' already defined"),
+        ("genus 2\nword BSCC:01\n", "unknown generator name"),
+        ("genus 2\nword BSCC:2\n", "unknown generator name"),
+        ("genus 1\nword BP:std\n", "unknown generator name"),
+    ])
+    def test_name_errors(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_tor_file(text)
 
     def test_inline_bscc_second_handle(self):
         word = parse_tor_file("genus 2\ngen S bscc pairs (x2 y2)\nword S\n")

@@ -17,8 +17,9 @@ from torelli.present import (
     eta_block_ranks,
     present_filled,
     present_mapping_torus,
-    strip_gamma,
 )
+
+from helpers import strip_gamma
 
 
 class TestMappingTorus:
