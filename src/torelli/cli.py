@@ -17,7 +17,7 @@ from .freelie import LieElement, lyndon_basis, standard_factorization, witt_dim
 from .johnson import (DEFAULT_DEPTH, DEFAULT_TOWER_MAX, bordant,
                       filtration_depth, morita_check, tau, tau_tower)
 from .mcglib import (builtin_entries, descriptor_spec, parse_map_file,
-                     parse_tor_file)
+                     parse_tor_file, read_text)
 from .present import eta_block_ranks, present_filled, present_mapping_torus
 from .spinquad import (composed_action, enumerate_forms, eta2, form_literal,
                        parse_form_literal, rho, word_genus)
@@ -62,14 +62,6 @@ def tau_block(value, genus: int) -> str:
 # input loading
 
 
-def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from exc
-
-
 def _sniff_kind(text: str) -> str:
     for raw in text.splitlines():
         body = raw.split("#", 1)[0].strip()
@@ -83,23 +75,16 @@ def _sniff_kind(text: str) -> str:
     return "map"
 
 
-def _tor_loader(path: str):
-    base = os.path.dirname(os.path.abspath(path))
-
-    def load(rel: str) -> str:
-        target = rel if os.path.isabs(rel) else os.path.join(base, rel)
-        with open(target, "r", encoding="utf-8") as fh:
-            return fh.read()
-
-    return load
-
-
 def load_input(path: str):
-    """Parse -i input; returns ("map", MappingClass) or ("tor", word)."""
-    text = _read_file(path)
+    """Parse -i input; returns ("map", MappingClass) or ("tor", word).
+    A bp action path inside a .tor file is read relative to that file."""
+    text = read_text(path)
     if _sniff_kind(text) == "map":
         return "map", parse_map_file(text)
-    return "tor", parse_tor_file(text, load=_tor_loader(path))
+    base = os.path.dirname(os.path.abspath(path))
+    # an absolute action path replaces the base in os.path.join
+    return "tor", parse_tor_file(
+        text, load=lambda rel: read_text(os.path.join(base, rel)))
 
 
 def descriptor_word(word):

@@ -29,7 +29,7 @@ class Word:
     """A freely reduced word in the surface group generators.
 
     >>> Word((1, 2, -1))
-    Word('a1 b1 a1'')
+    Word("a1 b1 a1'")
     >>> Word((1, -1))
     Traceback (most recent call last):
         ...

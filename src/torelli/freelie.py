@@ -122,32 +122,6 @@ def bracket_polynomial(word: tuple[int, ...]) -> Polynomial:
     return _commutator_poly(bracket_polynomial(u), bracket_polynomial(v))
 
 
-@lru_cache(maxsize=None)
-def left_normed_polynomial(letters: tuple[int, ...]) -> Polynomial:
-    """Expansion of [[...[x_{l1}, x_{l2}], ...], x_{ln}]."""
-    if not letters:
-        raise ValueError("empty bracket")
-    cur: Polynomial = {letters[:1]: 1}
-    for j in letters[1:]:
-        cur = _commutator_poly(cur, {(j,): 1})
-    return cur
-
-
-def dynkin_map(poly: Polynomial) -> Polynomial:
-    """Monomial-wise left-normed bracketing, extended linearly.  A
-    homogeneous degree-d element is a Lie element exactly when this map
-    multiplies it by d."""
-    out: Polynomial = {}
-    for mono, c in poly.items():
-        for k, cc in left_normed_polynomial(mono).items():
-            new = out.get(k, 0) + c * cc
-            if new:
-                out[k] = new
-            elif k in out:
-                del out[k]
-    return out
-
-
 def to_lyndon_coords(poly: Polynomial, degree: int) -> dict[tuple[int, ...], int]:
     """Coordinates of a homogeneous degree-d Lie element in the Lyndon
     basis; raises NotALieElement (with the surviving remainder attached)
@@ -224,9 +198,6 @@ class LieElement:
 
     def neg(self) -> "LieElement":
         return self.scale(-1)
-
-    def sub(self, other: "LieElement") -> "LieElement":
-        return self.add(other.neg())
 
     def to_polynomial(self) -> Polynomial:
         out: Polynomial = {}

@@ -20,7 +20,7 @@ coordinates.  Key facts wired into this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import NotInJk
 from .freegroup import (MappingClass, Word, compose, displacements,
@@ -48,44 +48,45 @@ class DepthReport:
         finite = [w for w in self.witnesses if w is not None]
         return min(finite) if finite else None
 
-    def certifies(self, k: int) -> bool:
-        """Membership at level k, valid for k <= cutoff+1."""
-        if k > self.cutoff + 1:
-            raise ValueError(f"level {k} not decidable at cutoff {self.cutoff}")
-        d = self.depth
-        return d is None or d >= k
-
-
-def displacement_series(f: MappingClass, cutoff: int) -> list[TruncatedSeries]:
-    """Expansions of f(alpha_j) alpha_j^-1 for every generator j, each in
-    full up to degree ``cutoff``."""
-    rank = 2 * f.genus
-    return [magnus_expand(w, rank, cutoff) for w in displacements(f)]
-
 
 def _until_moves(w: Word, rank: int, cutoff: int) -> TruncatedSeries:
-    """Expansion of w at the lowest cutoff c <= ``cutoff`` at which a
-    positive degree survives, else at ``cutoff``.
+    """Expansion of w at the first cutoff c in 2, 3, ..., ``cutoff`` at
+    which a positive degree survives, else at ``cutoff``.
 
-    Either way no degree below the returned cutoff survives, and the
-    surviving degree (if any) is exact: it is the lowest degree of the
-    full expansion.
+    Either way the lowest surviving degree (if any) is exact: it is the
+    lowest degree of the full expansion.  The ladder starts at 2 because
+    degree 1 never survives for a class acting trivially on homology, and
+    a cutoff-2 pass costs at most ``rank`` more updates per letter.
     """
-    for c in range(1, cutoff):
+    for c in range(2, cutoff):
         s = magnus_expand(w, rank, c)
         if s.min_positive_degree() is not None:
             return s
     return magnus_expand(w, rank, cutoff)
 
 
-def _check_level(series: Iterable[TruncatedSeries], k: int):
-    # no term of degree < k may survive in any generator's displacement
-    for j, s in enumerate(series, start=1):
+def _level_series(f: MappingClass, k: int,
+                  cutoff: int) -> list[TruncatedSeries]:
+    """Each displacement of f expanded until it moves, never past
+    ``cutoff`` nor past the lowest degree found so far; raises NotInJk at
+    the first generator that moves below level k.
+
+    Every series is then exact up to the lowest degree D over all the
+    displacements, and level D is the highest level a caller reads.
+    """
+    rank = 2 * f.genus
+    series = []
+    for j, w in enumerate(displacements(f), start=1):
+        s = _until_moves(w, rank, cutoff)
         d = s.min_positive_degree()
-        if d is not None and d < k:
-            raise NotInJk(
-                f"generator {letter_name(j)} moves at depth {d} < {k}",
-                k=k, witness=letter_name(j), degree=d)
+        if d is not None:
+            if d < k:
+                raise NotInJk(
+                    f"generator {letter_name(j)} moves at depth {d} < {k}",
+                    k=k, witness=letter_name(j), degree=d)
+            cutoff = d
+        series.append(s)
+    return series
 
 
 def _layer(series: list[TruncatedSeries], genus: int, k: int) -> H1LieTensor:
@@ -106,12 +107,11 @@ def filtration_depth(f: MappingClass, cutoff: int = DEFAULT_DEPTH) -> DepthRepor
 
 def tau(f: MappingClass, k: int) -> H1LieTensor:
     """Level-k invariant of f, one degree-k Lie element per generator;
-    requires membership at level k."""
+    requires membership at level k, and refuses a shallower f at the
+    degree where its first generator moves."""
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    series = displacement_series(f, k)
-    _check_level(series, k)
-    return _layer(series, f.genus, k)
+    return _layer(_level_series(f, k, k), f.genus, k)
 
 
 def symplectic_dual(t: H1LieTensor) -> H1LieTensor:
@@ -147,15 +147,14 @@ def bordant(f: MappingClass, h: MappingClass, k: int) -> bool:
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    rank = 2 * f.genus
-    # only degrees below k decide level k; each check stops at the first
-    # generator that moves
+    # raises NotInJk unless both are at level k; degrees below k decide it
     for g in (f, h):
-        _check_level((magnus_expand(w, rank, k - 1)
-                      for w in displacements(g)), k)
+        _level_series(g, k, k - 1)
+    rank = 2 * f.genus
     diff = compose(f, h.inverse())
-    # membership at level 2k-1 needs no surviving term below degree 2k-1
-    return all(magnus_expand(w, rank, 2 * k - 2).min_positive_degree() is None
+    # membership at level 2k-1 needs no surviving term below degree 2k-1;
+    # the check stops at the first generator that moves
+    return all(_until_moves(w, rank, 2 * k - 2).min_positive_degree() is None
                for w in displacements(diff))
 
 
@@ -176,22 +175,13 @@ def tau_tower(f: MappingClass, kmin: int = 2,
     """Values at levels kmin, kmin+1, ...; stops at the first nonzero level
     or at kmax.
 
-    Each generator is expanded only until it moves, and never past the
-    lowest degree found so far (where the first nonzero level sits), so
-    every expansion is exact at each level the loop reads.
+    The first nonzero level is the lowest degree surviving in any
+    displacement, so the series of :func:`_level_series` are exact at
+    each level the loop reads.
     """
     if not 1 <= kmin <= kmax:
         raise ValueError(f"bad level range {kmin}..{kmax}")
-    rank = 2 * f.genus
-    series = []
-    cap = kmax
-    for w in displacements(f):
-        s = _until_moves(w, rank, cap)
-        series.append(s)
-        d = s.min_positive_degree()
-        if d is not None:
-            cap = d
-    _check_level(series, kmin)
+    series = _level_series(f, kmin, kmax)
     entries = []
     first_nonzero = None
     for k in range(kmin, kmax + 1):

@@ -45,13 +45,6 @@ class TruncatedSeries:
                 if cleaned:
                     self.terms[d] = cleaned
 
-    @classmethod
-    def one(cls, rank: int, cutoff: int) -> "TruncatedSeries":
-        return cls(rank, cutoff, {0: {(): 1}})
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(len(mono), {}).get(tuple(mono), 0)
-
     def degree_terms(self, degree: int) -> Bucket:
         return dict(self.terms.get(degree, {}))
 

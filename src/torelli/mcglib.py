@@ -1,5 +1,5 @@
-"""Surface models, a validated library of Torelli generators, and parsers
-for user-supplied mapping classes (.map) and Torelli words (.tor).
+"""A validated library of Torelli generators, and parsers for
+user-supplied mapping classes (.map) and Torelli words (.tor).
 
 Twists about separating curves act by conjugation on the handles inside
 the curve.  Bounding-pair maps ship as literal word tables; each table is
@@ -15,36 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import GenusMismatch, ParseError, ValidationFailure
-from .freegroup import (MappingClass, Word, _trusted, boundary_word,
-                        commutator, conjugate, format_word, invert,
-                        letter_name, multiply, parse_word, reduce)
+from .freegroup import (MappingClass, Word, _trusted, commutator, conjugate,
+                        format_word, invert, letter_name, multiply,
+                        parse_word, reduce)
 from .spinquad import H1Vector, TorelliGenDescriptor, basis_vector
-
-
-@dataclass(frozen=True, slots=True)
-class SurfaceModel:
-    """The genus-g one-boundary surface: generator names, boundary word,
-    and the standard homology basis."""
-
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 1:
-            raise GenusMismatch(f"genus must be >= 1, got {self.genus}")
-
-    @property
-    def generator_names(self) -> tuple[str, ...]:
-        return tuple(letter_name(j) for j in range(1, 2 * self.genus + 1))
-
-    @property
-    def zeta(self) -> Word:
-        return boundary_word(self.genus)
-
-    def x(self, i: int) -> H1Vector:
-        return basis_vector(self.genus, 2 * i - 1)
-
-    def y(self, i: int) -> H1Vector:
-        return basis_vector(self.genus, 2 * i)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,26 +63,30 @@ def _run_twist(genus: int, start: int, end: int) -> MappingClass:
     return _trusted(genus, tuple(images), tuple(inverses))
 
 
+def _handle_pairs(genus: int, h: int) -> tuple[tuple[H1Vector, H1Vector], ...]:
+    """The basis pairs (x_i, y_i) of handles 1..h."""
+    return tuple((basis_vector(genus, 2 * i - 1), basis_vector(genus, 2 * i))
+                 for i in range(1, h + 1))
+
+
 def bscc_twist(genus: int, h: int) -> GeneratorEntry:
     """Twist about the separating curve enclosing handles 1..h, h < g."""
     if not 1 <= h < genus:
         raise GenusMismatch(
             f"subsurface genus must satisfy 1 <= h < g, got h={h}, g={genus}")
     action = _run_twist(genus, 1, h)
-    model = SurfaceModel(genus)
-    desc = TorelliGenDescriptor(
-        name=f"BSCC:{h}", kind="bscc", action=action,
-        pairs=tuple((model.x(i), model.y(i)) for i in range(1, h + 1)))
+    desc = TorelliGenDescriptor(name=f"BSCC:{h}", kind="bscc", action=action,
+                                pairs=_handle_pairs(genus, h))
     return GeneratorEntry(f"BSCC:{h}", action, desc)
 
 
 def boundary_twist(genus: int) -> GeneratorEntry:
     """Twist about a curve parallel to the boundary: conjugation by zeta."""
+    if genus < 1:
+        raise GenusMismatch(f"genus must be >= 1, got {genus}")
     action = _run_twist(genus, 1, genus)
-    model = SurfaceModel(genus)
-    desc = TorelliGenDescriptor(
-        name="BDRY", kind="bscc", action=action,
-        pairs=tuple((model.x(i), model.y(i)) for i in range(1, genus + 1)))
+    desc = TorelliGenDescriptor(name="BDRY", kind="bscc", action=action,
+                                pairs=_handle_pairs(genus, genus))
     return GeneratorEntry("BDRY", action, desc)
 
 
@@ -145,10 +123,9 @@ def bp_map(genus: int, layout: str = "std") -> GeneratorEntry:
     if layout != "std":
         raise ParseError(f"unknown bounding-pair layout {layout!r}")
     action = _bp_std_action(genus)
-    model = SurfaceModel(genus)
     desc = TorelliGenDescriptor(
         name="BP:std", kind="bp", action=action,
-        curve_class=model.x(2), pairs=((model.x(1), model.y(1)),))
+        curve_class=basis_vector(genus, 3), pairs=_handle_pairs(genus, 1))
     return GeneratorEntry("BP:std", action, desc)
 
 
@@ -319,18 +296,13 @@ def _parse_pair_list(rest: str, genus: int, ln: int):
 def _basis_pair_handles(pairs, genus: int, ln: int) -> list[int]:
     """Require each pair to be a standard handle pair (x_i, y_i); the
     built-in action model only covers those."""
-    model = SurfaceModel(genus)
-    handles = []
-    for x, y in pairs:
-        for i in range(1, genus + 1):
-            if x == model.x(i) and y == model.y(i):
-                handles.append(i)
-                break
-        else:
+    basis = _handle_pairs(genus, genus)
+    for pair in pairs:
+        if pair not in basis:
             raise ParseError(
                 "bscc pairs must be standard handle pairs (x_i y_i); "
                 "supply general actions through a bp `action` file", ln)
-    return handles
+    return [basis.index(pair) + 1 for pair in pairs]
 
 
 def _inline_bscc(name: str, rest: str, genus: int, ln: int) -> GeneratorEntry:
@@ -362,11 +334,7 @@ def _inline_bp(name: str, rest: str, genus: int, ln: int,
     if len(pairs) != 1:
         raise ParseError("bp generator takes exactly one pair", ln)
     path = parts[-1]
-    try:
-        action_text = load(path)
-    except OSError as exc:
-        raise ParseError(f"cannot read action file {path!r}: {exc}", ln) from exc
-    action = parse_map_file(action_text)
+    action = parse_map_file(load(path))
     if action.genus != genus:
         raise ParseError(
             f"action file has genus {action.genus}, word has genus {genus}", ln)
@@ -375,13 +343,18 @@ def _inline_bp(name: str, rest: str, genus: int, ln: int,
     return GeneratorEntry(name, action, desc, action_path=path)
 
 
-def _default_loader(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def read_text(path: str) -> str:
+    """Text of a UTF-8 file; a file that cannot be read or decoded is a
+    ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
 
 
 def parse_tor_file(text: str,
-                   load: Callable[[str], str] = _default_loader
+                   load: Callable[[str], str] = read_text
                    ) -> tuple[tuple[GeneratorEntry, int], ...]:
     """Parse a .tor file into its Torelli word.
 

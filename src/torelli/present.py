@@ -34,10 +34,6 @@ class Presentation:
                 f"expected {n} or {n + 1} generators, got "
                 f"{len(self.generator_names)}")
 
-    @property
-    def has_gamma(self) -> bool:
-        return len(self.generator_names) == 2 * self.genus + 1
-
     def text(self) -> str:
         lines = ["gens: " + " ".join(self.generator_names)]
         for r in self.relators:

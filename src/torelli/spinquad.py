@@ -33,12 +33,6 @@ def basis_vector(genus: int, index: int) -> H1Vector:
     return tuple(1 if j == index - 1 else 0 for j in range(n))
 
 
-def add_vectors(u: H1Vector, v: H1Vector) -> H1Vector:
-    if len(u) != len(v):
-        raise GenusMismatch("H1 vectors of different rank")
-    return tuple((a + b) % 2 for a, b in zip(u, v))
-
-
 def intersect(u: H1Vector, v: H1Vector) -> int:
     """Mod-2 intersection pairing; x_i.y_i = 1 and all else vanishes."""
     if len(u) != len(v):
@@ -98,12 +92,6 @@ def _require_symplectic(pairs: Sequence[tuple[H1Vector, H1Vector]]):
             if intersect(xi, xj) != 0 or intersect(yi, yj) != 0:
                 raise ValidationFailure(
                     f"pair list not symplectic: pairs {i + 1},{j + 1} interact")
-
-
-def arf_on_pairs(q: QuadForm, pairs: Sequence[tuple[H1Vector, H1Vector]]) -> int:
-    """Arf invariant of q restricted to the subsurface spanned by the pairs."""
-    _require_symplectic(pairs)
-    return sum(q_eval(q, x) * q_eval(q, y) for x, y in pairs) % 2
 
 
 def enumerate_forms(genus: int, arf_filter: Optional[int] = None) -> list[QuadForm]:

@@ -1,5 +1,7 @@
 """Independent slow-path oracles used to pin down the fast implementations."""
 
+from functools import lru_cache
+
 from torelli.errors import NotInJk
 from torelli.freegroup import (MappingClass, Word, commutator, compose,
                                letter_name, multiply, reduce)
@@ -37,6 +39,39 @@ def naive_magnus(w: Word, cutoff: int) -> dict:
             letter = {tuple([j] * i): (-1) ** i for i in range(cutoff + 1)}
         acc = poly_mul(acc, letter, cutoff)
     return acc
+
+
+def poly_commutator(p, q) -> dict:
+    """pq - qp, untruncated."""
+    out = poly_mul(p, q, float("inf"))
+    for k, c in poly_mul(q, p, float("inf")).items():
+        out[k] = out.get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# Dynkin-Specht-Wever: a Lie-membership test independent of the Lyndon basis
+
+@lru_cache(maxsize=None)
+def left_normed_polynomial(letters: tuple) -> dict:
+    """Expansion of [[...[x_{l1}, x_{l2}], ...], x_{ln}]."""
+    if not letters:
+        raise ValueError("empty bracket")
+    cur = {letters[:1]: 1}
+    for j in letters[1:]:
+        cur = poly_commutator(cur, {(j,): 1})
+    return cur
+
+
+def dynkin_map(poly: dict) -> dict:
+    """Monomial-wise left-normed bracketing, extended linearly.  A
+    homogeneous degree-d element is a Lie element exactly when this map
+    multiplies it by d."""
+    out = {}
+    for mono, c in poly.items():
+        for k, cc in left_normed_polynomial(mono).items():
+            out[k] = out.get(k, 0) + c * cc
+    return {k: c for k, c in out.items() if c}
 
 
 def flatten_series(series) -> dict:
@@ -107,7 +142,7 @@ def fox_coefficient(w: Word, mono) -> int:
 
 def strip_gamma(p: Presentation) -> Presentation:
     """Delete gamma from every relator and re-reduce; the filling quotient."""
-    if not p.has_gamma:
+    if len(p.generator_names) != 2 * p.genus + 1:
         return p
     gamma = 2 * p.genus + 1
     names = p.generator_names[:-1]

@@ -15,7 +15,6 @@ from torelli.errors import NotALieElement
 from torelli.freegroup import Word, apply, compose, identity_class, invert, reduce
 from torelli.freelie import (
     bracket_polynomial,
-    dynkin_map,
     generator_element,
     lie_bracket,
     lyndon_basis,
@@ -34,7 +33,7 @@ from torelli.mcglib import boundary_twist, builtin_entries
 from torelli.present import eta_block_ranks, present_filled
 from torelli.spinquad import QuadForm, arf, enumerate_forms, eta2, q_eval
 
-from helpers import augmentation, fox_derivative
+from helpers import augmentation, dynkin_map, flatten_series, fox_derivative
 
 # ---------------------------------------------------------------------------
 # shared sweep: all words of length <= 3 over the genus-2 library
@@ -122,7 +121,7 @@ def test_criterion_03_fox_magnus_agreement():
         for _ in range(count):
             length = rng.randint(1, 10)
             w = reduce(tuple(rng.choice(alphabet) for _ in range(length)))
-            series = magnus_expand(w, rank, 3)
+            series = flatten_series(magnus_expand(w, rank, 3))
             # iterated derivatives share suffixes: the innermost
             # derivative is the monomial's last variable
             elems = {(): {w.letters: 1}}
@@ -131,7 +130,7 @@ def test_criterion_03_fox_magnus_agreement():
                                               repeat=degree):
                     elem = fox_derivative(elems[mono[1:]], mono[0])
                     elems[mono] = elem
-                    assert augmentation(elem) == series.coefficient(mono)
+                    assert augmentation(elem) == series.get(mono, 0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"fox/magnus sweep took {elapsed:.2f}s"
     print("criterion 3: PASS")
@@ -141,11 +140,11 @@ def test_criterion_04_kernel_law(sweep):
     t0 = time.perf_counter()
     checked = 0
     for word, f in sweep["words"]:
-        report = filtration_depth(f, SWEEP_CUTOFF)
+        d = filtration_depth(f, SWEEP_CUTOFF).depth
         for k in (2, 3):
-            if not report.certifies(k):
+            if d is not None and d < k:
                 continue
-            assert tau(f, k).is_zero() == report.certifies(k + 1), word
+            assert tau(f, k).is_zero() == (d is None or d >= k + 1), word
             checked += 1
     elapsed = time.perf_counter() - t0 + sweep["build_seconds"]
     # every word checks k=2; words in J(3) check k=3 as well
@@ -156,9 +155,9 @@ def test_criterion_04_kernel_law(sweep):
 
 def test_criterion_05_morita_containment(sweep):
     for word, f in sweep["words"]:
-        report = filtration_depth(f, SWEEP_CUTOFF)
+        d = filtration_depth(f, SWEEP_CUTOFF).depth
         for k in (2, 3, 4):
-            if not report.certifies(k):
+            if d is not None and d < k:
                 continue
             value = bracket_map(symplectic_dual(tau(f, k)))
             assert value.is_zero(), (word, k)
@@ -172,11 +171,13 @@ def test_criterion_06_commutator_law(sweep):
     for f in j2:
         for h in j3:
             c = compose(compose(f, h), compose(f.inverse(), h.inverse()))
-            assert filtration_depth(c, 4).certifies(4)
+            d = filtration_depth(c, 4).depth
+            assert d is None or d >= 4
     for f in j2:
         for h in j2:
             c = compose(compose(f, h), compose(f.inverse(), h.inverse()))
-            assert filtration_depth(c, 3).certifies(3)
+            d = filtration_depth(c, 3).depth
+            assert d is None or d >= 3
     print("criterion 6: PASS")
 
 
@@ -296,10 +297,10 @@ def test_criterion_11_presentation_filling_coherence(sweep):
             assert relator.letters == expected.letters
             degrees.append(magnus_expand(relator, 4, SWEEP_CUTOFF)
                            .min_positive_degree())
-        report = filtration_depth(f, SWEEP_CUTOFF)
+        depth = filtration_depth(f, SWEEP_CUTOFF).depth
         for k in (2, 3, 4):
             relators_deep = all(d is None or d >= k for d in degrees)
-            assert report.certifies(k) == relators_deep, (word, k)
+            assert (depth is None or depth >= k) == relators_deep, (word, k)
     print("criterion 11: PASS")
 
 

@@ -85,6 +85,12 @@ class TestTau:
         assert "error: NOT_IN_JK" in out
         assert err  # human-readable reason on stderr
 
+    @pytest.mark.parametrize("verb", ["tau", "bordant"])
+    def test_level_far_above_depth_fails_fast(self, capsys, files, verb):
+        # the depth-2 map is refused at degree 2, not expanded to degree 40
+        code, out, _ = run(capsys, [verb, "-k", "40", "-i", files["bp"]])
+        assert (code, out) == (1, "error: NOT_IN_JK\n")
+
 
 class TestTauTower:
     def test_boundary_twist_tower(self, capsys, files):
@@ -275,6 +281,22 @@ class TestErrorPaths:
                            ["depth", "-i", str(tmp_path / "nope.map")])
         assert code == 2
         assert "error: SYNTAX_ERROR" in out
+
+    @pytest.mark.parametrize("case", ["map", "tor", "action"])
+    def test_not_utf8_is_syntax_error(self, capsys, tmp_path, case):
+        # a .map, a .tor, and a bp action file named inside a .tor
+        bad = b"genus 2\nmap\na1 -> \xff\n"
+        texts = {"map": {"in.map": bad},
+                 "tor": {"in.tor": b"genus 2\nword BP:std \xff\n"},
+                 "action": {"in.tor": b"genus 2\ngen P bp class x2 pair "
+                                      b"(x1 y1) action act.map\nword P\n",
+                            "act.map": bad}}[case]
+        for name, data in texts.items():
+            (tmp_path / name).write_bytes(data)
+        path = str(tmp_path / ("in.map" if case == "map" else "in.tor"))
+        code, out, err = run(capsys, ["tau", "-k", "2", "-i", path])
+        assert (code, out) == (2, "error: SYNTAX_ERROR\n")
+        assert "decode" in err
 
     def test_unknown_verb_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,27 +10,29 @@ from torelli.freegroup import (
     commutator,
     compose,
     conjugate,
+    displacements,
     identity_class,
     invert,
     multiply,
 )
+from torelli import johnson
 from torelli.freelie import H1LieTensor, LieElement, to_lyndon_coords
 from torelli.johnson import (
     DepthReport,
     MoritaReport,
     TowerReport,
     bordant,
-    displacement_series,
     filtration_depth,
     morita_check,
     symplectic_dual,
     tau,
     tau_tower,
 )
+from torelli.magnus import magnus_expand
 from torelli.mcglib import bp_map, builtin_entries
 
-from helpers import (full_bordant, full_depth_witnesses, full_tower,
-                     handle_twists, naive_magnus, outcome)
+from helpers import (flatten_series, full_bordant, full_depth_witnesses,
+                     full_tower, handle_twists, naive_magnus, outcome)
 
 
 def conjugation_twist(genus, curve, handles):
@@ -80,12 +82,12 @@ class TestDepthReport:
         assert DepthReport(1, 4, (None, None)).depth is None
 
     def test_certifies(self):
-        r = DepthReport(1, 5, (3, 3))
-        assert r.certifies(3) and r.certifies(2)
-        assert not r.certifies(4)
-        assert DepthReport(1, 5, (None, None)).certifies(6)
-        with pytest.raises(ValueError):
-            r.certifies(7)
+        # level k (k <= cutoff + 1) holds when no generator moves below k
+        for witnesses in ((3, 3), (3, None), (None, None), (2, 4)):
+            d = DepthReport(1, 5, witnesses).depth
+            for k in range(1, 7):
+                assert (d is None or d >= k) == all(
+                    w is None or w >= k for w in witnesses)
 
 
 class TestFiltrationDepth:
@@ -103,7 +105,6 @@ class TestFiltrationDepth:
         r = filtration_depth(bscc1_twist(2), 4)
         assert r.depth == 3
         assert r.witnesses == (3, 3, None, None)
-        assert r.certifies(3)
 
     def test_non_torelli(self):
         r = filtration_depth(humphries_alpha(), 4)
@@ -116,13 +117,9 @@ class TestFiltrationDepth:
 
     def test_displacement_series_match_naive(self):
         f = boundary_twist(1)
-        for j in (1, 2):
-            w = multiply(f.images[j - 1], Word((-j,)))
-            series = displacement_series(f, 4)[j - 1]
-            flat = {}
-            for d, bucket in series.terms.items():
-                flat.update(bucket)
-            assert flat == naive_magnus(w, 4)
+        for j, w in enumerate(displacements(f), start=1):
+            assert w == multiply(f.images[j - 1], Word((-j,)))
+            assert flatten_series(magnus_expand(w, 2, 4)) == naive_magnus(w, 4)
 
 
 class TestTau:
@@ -172,10 +169,10 @@ class TestTau:
         # vanishing at level k means depth reaches k+1
         f = bscc1_twist(2)
         assert tau(f, 2).is_zero()
-        assert filtration_depth(f, 3).certifies(3)
+        assert filtration_depth(f, 3).depth == 3
         h = boundary_twist(1)
         assert not tau(h, 3).is_zero()
-        assert not filtration_depth(h, 4).certifies(4)
+        assert filtration_depth(h, 4).depth == 3
 
     def test_value_arithmetic_checks(self):
         with pytest.raises(ValueError):
@@ -300,6 +297,33 @@ class TestTower:
             tau_tower(humphries_alpha(), 2, 3)
         with pytest.raises(ValueError):
             tau_tower(identity_class(1), 3, 2)
+
+
+class TestFailFastLevel:
+    """A level far above the depth is refused at the degree where the first
+    generator moves, without expanding any displacement to the level."""
+
+    @pytest.fixture
+    def shallow(self, monkeypatch):
+        real = johnson.magnus_expand
+
+        def guarded(w, rank, cutoff):
+            if cutoff > 2:
+                pytest.fail(f"expanded to degree {cutoff}")
+            return real(w, rank, cutoff)
+
+        monkeypatch.setattr(johnson, "magnus_expand", guarded)
+
+    def test_tau(self, shallow):
+        with pytest.raises(NotInJk) as exc:
+            tau(bp_map(2).action, 40)
+        assert (exc.value.witness, exc.value.degree) == ("a1", 2)
+
+    def test_bordant(self, shallow):
+        bp = bp_map(2).action
+        with pytest.raises(NotInJk) as exc:
+            bordant(bp, bp, 40)
+        assert (exc.value.witness, exc.value.degree) == ("a1", 2)
 
 
 class TestCommutatorLaw:

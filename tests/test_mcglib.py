@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from torelli.errors import GenusMismatch, ParseError, ValidationFailure
 from torelli.freegroup import (
     Word,
+    apply,
     boundary_word,
     commutator,
     compose,
@@ -17,7 +18,6 @@ from torelli.freegroup import (
 from torelli.johnson import filtration_depth, tau
 from torelli.mcglib import (
     GeneratorEntry,
-    SurfaceModel,
     boundary_twist,
     bp_map,
     bscc_twist,
@@ -27,26 +27,37 @@ from torelli.mcglib import (
     serialize_map_file,
     serialize_tor_file,
 )
-from torelli.spinquad import composed_action, validate_descriptor
+from torelli.spinquad import basis_vector, composed_action, validate_descriptor
 
 from helpers import handle_twists
 
 
 class TestSurfaceModel:
+    """The genus-g one-boundary surface the built-ins are written on."""
+
     def test_generator_names(self):
-        assert SurfaceModel(2).generator_names == ("a1", "b1", "a2", "b2")
+        lines = serialize_map_file(bp_map(2).action).splitlines()
+        assert [ln.split(" -> ")[0] for ln in lines[2:6]] == [
+            "a1", "b1", "a2", "b2"]
 
     def test_zeta(self):
-        assert SurfaceModel(3).zeta == boundary_word(3)
+        z = boundary_word(3)
+        for entry in builtin_entries(3).values():
+            assert apply(entry.action, z) == z
 
     def test_basis_vectors(self):
-        m = SurfaceModel(2)
-        assert m.x(1) == (1, 0, 0, 0)
-        assert m.y(2) == (0, 0, 0, 1)
+        x1, y1, x2, y2 = (basis_vector(2, i) for i in range(1, 5))
+        assert (x1, y2) == ((1, 0, 0, 0), (0, 0, 0, 1))
+        assert bscc_twist(2, 1).descriptor.pairs == ((x1, y1),)
+        assert boundary_twist(2).descriptor.pairs == ((x1, y1), (x2, y2))
+        assert bp_map(2).descriptor.curve_class == x2
+        assert bp_map(2).descriptor.pairs == ((x1, y1),)
 
     def test_genus_bound(self):
         with pytest.raises(GenusMismatch):
-            SurfaceModel(0)
+            boundary_twist(0)
+        with pytest.raises(GenusMismatch):
+            builtin_entries(0)
 
 
 class TestBsccTwist:

@@ -118,5 +118,8 @@ class TestPresentationType:
             Presentation(1, ("a1",), ())
 
     def test_gamma_detection(self):
-        assert present_mapping_torus(identity_class(1)).has_gamma
-        assert not present_filled(identity_class(1)).has_gamma
+        # gamma is the extra generator past a_1..b_g
+        torus = present_mapping_torus(identity_class(1))
+        filled = present_filled(identity_class(1))
+        assert len(torus.generator_names) == 2 * torus.genus + 1
+        assert len(filled.generator_names) == 2 * filled.genus

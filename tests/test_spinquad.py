@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torelli.errors import ArfNonZero, GenusMismatch, ParseError, ValidationFailure
-from torelli.freegroup import Word, commutator, conjugate, invert, MappingClass
-from torelli.mcglib import SurfaceModel, boundary_twist, bp_map, bscc_twist
+from torelli.freegroup import (Word, commutator, conjugate, identity_class,
+                               invert, MappingClass)
+from torelli.mcglib import boundary_twist, bp_map, bscc_twist
 from torelli.spinquad import (
     Eta2Value,
     QuadForm,
     TorelliGenDescriptor,
-    add_vectors,
     arf,
-    arf_on_pairs,
     basis_vector,
     composed_action,
     enumerate_forms,
@@ -32,6 +31,10 @@ bits_st = st.lists(st.sampled_from([0, 1]), min_size=4, max_size=4).map(tuple)
 
 def form(*vals):
     return QuadForm(tuple(vals))
+
+
+def add_vectors(u, v):
+    return tuple((a + b) % 2 for a, b in zip(u, v))
 
 
 class TestQEval:
@@ -109,30 +112,45 @@ class TestArf:
             assert arf(moved) == arf(q)
 
 
+def pairs_descriptor(genus, pairs):
+    """A bscc descriptor with the given pairs; rho reads only the pairs."""
+    return TorelliGenDescriptor(name="P", kind="bscc",
+                                action=identity_class(genus), pairs=tuple(pairs))
+
+
+def arf_on_pairs(q, pairs):
+    """Arf of q restricted to the span of the pairs, as rho sums it."""
+    return rho(q, [(pairs_descriptor(q.genus, pairs), 1)])
+
+
+X1, Y1, X2, Y2 = (basis_vector(2, i) for i in range(1, 5))
+
+
 class TestArfOnPairs:
     def test_empty_pairs(self):
         assert arf_on_pairs(form(1, 1, 1, 1), []) == 0
 
     def test_single_handle(self):
-        q = form(1, 1, 0, 0)
-        assert arf_on_pairs(q, [(basis_vector(2, 1), basis_vector(2, 2))]) == 1
+        assert arf_on_pairs(form(1, 1, 1, 1), [(X1, Y1)]) == 1
 
     def test_two_handles_cancel(self):
-        q = form(1, 1, 1, 1)
-        pairs = [(basis_vector(2, 1), basis_vector(2, 2)),
-                 (basis_vector(2, 3), basis_vector(2, 4))]
-        assert arf_on_pairs(q, pairs) == 0
+        assert arf_on_pairs(form(1, 1, 1, 1), [(X1, Y1), (X2, Y2)]) == 0
 
     def test_rejects_non_symplectic(self):
-        with pytest.raises(ValidationFailure):
-            arf_on_pairs(form(0, 0, 0, 0),
-                         [(basis_vector(2, 1), basis_vector(2, 3))])
+        # a descriptor cannot be built on pairs that are not symplectic
+        for pairs, match in ((((X1, X2),), "x_1.y_1 wrong"),
+                             (((X1, Y1), (X1, Y2)), "x_2.y_1 wrong"),
+                             (((X1, Y1), (X2, add_vectors(Y2, X1))),
+                              "pairs 1,2 interact")):
+            with pytest.raises(ValidationFailure, match=match):
+                pairs_descriptor(2, pairs)
 
     def test_whole_surface_matches_arf(self):
-        for q in enumerate_forms(2):
-            pairs = [(basis_vector(2, 1), basis_vector(2, 2)),
-                     (basis_vector(2, 3), basis_vector(2, 4))]
-            assert arf_on_pairs(q, pairs) == arf(q)
+        # the Arf invariant does not depend on the symplectic basis
+        twisted = [(X1, add_vectors(Y1, X2)), (X2, add_vectors(Y2, X1))]
+        for q in enumerate_forms(2, 0):
+            for pairs in ([(X1, Y1), (X2, Y2)], twisted):
+                assert arf_on_pairs(q, pairs) == arf(q)
 
 
 class TestEnumerateForms:
