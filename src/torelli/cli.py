@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .errors import ParseError, TorelliError
+from .errors import ParseError, TooLarge, TorelliError
 from .freegroup import MappingClass, identity_class, letter_name, validate
 from .freelie import LieElement, lyndon_basis, standard_factorization, witt_dim
 from .johnson import (DEFAULT_DEPTH, DEFAULT_TOWER_MAX, bordant,
@@ -87,13 +87,9 @@ def load_input(path: str):
         text, load=lambda rel: read_text(os.path.join(base, rel)))
 
 
-def descriptor_word(word):
-    return [(entry.descriptor, exp) for entry, exp in word]
-
-
 def load_mapping_class(path: str) -> MappingClass:
     kind, obj = load_input(path)
-    return obj if kind == "map" else composed_action(descriptor_word(obj))
+    return obj if kind == "map" else composed_action(obj)
 
 
 def load_tor_word(path: str):
@@ -165,15 +161,14 @@ def cmd_morita_check(args) -> int:
 
 def cmd_bc(args) -> int:
     word = load_tor_word(args.input)
-    dword = descriptor_word(word)
-    genus = word_genus(dword)
+    genus = word_genus(word)
     if args.all_forms:
-        bits = "".join(str(rho(q, dword))
+        bits = "".join(str(rho(q, word))
                        for q in enumerate_forms(genus, arf_filter=0))
         print(f"rho: {bits}")
     elif args.form:
         q = parse_form_literal(args.form)
-        print(f"rho: {rho(q, dword)}")
+        print(f"rho: {rho(q, word)}")
     else:
         raise ParseError("bc needs --form or --all-forms")
     return 0
@@ -181,7 +176,7 @@ def cmd_bc(args) -> int:
 
 def cmd_eta2(args) -> int:
     word = load_tor_word(args.input)
-    value = eta2(descriptor_word(word))
+    value = eta2(word)
     print(tau_block(value.tau2, value.genus))
     print("rho: " + "".join(str(b) for b in value.rho_bits))
     print(f"trivial: {'true' if value.is_trivial() else 'false'}")
@@ -196,8 +191,19 @@ def cmd_forms(args) -> int:
     return 0
 
 
+# Largest `lie` listing answered, in basis words.  On a 2-core x86-64 host
+# (Python 3.11), genus 2 lists 29,120 words (k=9) in 0.7 s and 104,754
+# (k=10) in 2.8 s.
+MAX_LISTING = 100_000
+
+
 def cmd_lie(args) -> int:
     rank = 2 * args.genus
+    dim = witt_dim(rank, args.k)
+    if dim > MAX_LISTING:
+        raise TooLarge(f"the degree-{args.k} layer at genus {args.genus} has "
+                       f"{dim} basis words; the listing budget is "
+                       f"{MAX_LISTING}")
     basis = lyndon_basis(rank, args.k)
     print(f"lie rank={rank} degree={args.k} basis={args.basis}")
     for word in basis:
@@ -205,7 +211,7 @@ def cmd_lie(args) -> int:
             print(bracket_text(word, args.genus))
         else:
             print(" ".join(letter_name(x, args.genus) for x in word))
-    print(f"dim: {witt_dim(rank, args.k)}")
+    print(f"dim: {dim}")
     return 0
 
 
@@ -222,9 +228,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_gens(args) -> int:
-    entries = builtin_entries(args.genus)
-    for name in sorted(entries):
-        d = entries[name].descriptor
+    for name, d in sorted(builtin_entries(args.genus).items()):
         print(f"{name} {d.kind} {descriptor_spec(d)}")
     return 0
 
@@ -240,7 +244,7 @@ def cmd_validate(args) -> int:
     else:
         # descriptors were validated during parsing; report the word
         print(f"word length: {len(obj)}")
-        print(f"genus: {word_genus(descriptor_word(obj))}")
+        print(f"genus: {word_genus(obj)}")
         print("result: ok")
     return 0
 

@@ -68,6 +68,12 @@ class ValidationFailure(TorelliError):
     code = "VALIDATION_FAILED"
 
 
+class TooLarge(TorelliError):
+    """A listing larger than the stated budget, refused before it is built."""
+
+    code = "TOO_LARGE"
+
+
 class ParseError(TorelliError):
     """Syntax error in a word, form literal, .map or .tor input."""
 

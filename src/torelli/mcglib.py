@@ -11,38 +11,20 @@ the next filtration step.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import GenusMismatch, ParseError, ValidationFailure
-from .freegroup import (MappingClass, Word, _trusted, commutator, conjugate,
-                        format_word, invert, letter_name, multiply,
-                        parse_word, reduce)
-from .spinquad import H1Vector, TorelliGenDescriptor, basis_vector
-
-
-@dataclass(frozen=True, slots=True)
-class GeneratorEntry:
-    """A named Torelli generator: its free-group action plus the optional
-    descriptor feeding the Birman-Craggs side.  ``action_path`` remembers
-    where a file-supplied action came from, for round-tripping."""
-
-    name: str
-    action: MappingClass
-    descriptor: Optional[TorelliGenDescriptor] = None
-    action_path: Optional[str] = None
-
-
-def _handle_commutator(i: int) -> Word:
-    return commutator(Word((2 * i - 1,)), Word((2 * i,)))
+from .freegroup import (MappingClass, Word, _trusted, conjugate, format_word,
+                        invert, letter_name, parse_word, reduce)
+from .spinquad import (H1Vector, TorelliGenDescriptor, TorelliWord,
+                       basis_vector)
 
 
 def _run_curve(start: int, end: int) -> Word:
-    """Word of the separating curve around handles start..end."""
-    w = Word(())
-    for i in range(start, end + 1):
-        w = multiply(w, _handle_commutator(i))
-    return w
+    """Word of the separating curve around handles start..end: the product
+    of the handle commutators [a_i, b_i], which is already reduced."""
+    return Word(tuple(x for i in range(start, end + 1)
+                      for x in (2 * i - 1, 2 * i, 1 - 2 * i, -2 * i)))
 
 
 def _run_twist(genus: int, start: int, end: int) -> MappingClass:
@@ -69,25 +51,23 @@ def _handle_pairs(genus: int, h: int) -> tuple[tuple[H1Vector, H1Vector], ...]:
                  for i in range(1, h + 1))
 
 
-def bscc_twist(genus: int, h: int) -> GeneratorEntry:
+def bscc_twist(genus: int, h: int) -> TorelliGenDescriptor:
     """Twist about the separating curve enclosing handles 1..h, h < g."""
     if not 1 <= h < genus:
         raise GenusMismatch(
             f"subsurface genus must satisfy 1 <= h < g, got h={h}, g={genus}")
-    action = _run_twist(genus, 1, h)
-    desc = TorelliGenDescriptor(name=f"BSCC:{h}", kind="bscc", action=action,
+    return TorelliGenDescriptor(name=f"BSCC:{h}", kind="bscc",
+                                action=_run_twist(genus, 1, h),
                                 pairs=_handle_pairs(genus, h))
-    return GeneratorEntry(f"BSCC:{h}", action, desc)
 
 
-def boundary_twist(genus: int) -> GeneratorEntry:
+def boundary_twist(genus: int) -> TorelliGenDescriptor:
     """Twist about a curve parallel to the boundary: conjugation by zeta."""
     if genus < 1:
         raise GenusMismatch(f"genus must be >= 1, got {genus}")
-    action = _run_twist(genus, 1, genus)
-    desc = TorelliGenDescriptor(name="BDRY", kind="bscc", action=action,
+    return TorelliGenDescriptor(name="BDRY", kind="bscc",
+                                action=_run_twist(genus, 1, genus),
                                 pairs=_handle_pairs(genus, genus))
-    return GeneratorEntry("BDRY", action, desc)
 
 
 # Bounding-pair word table, genus 2 block.  z is the curve word of the
@@ -115,18 +95,16 @@ def _bp_std_action(genus: int) -> MappingClass:
     return _trusted(genus, tuple(images), tuple(inverses))
 
 
-def bp_map(genus: int, layout: str = "std") -> GeneratorEntry:
+def bp_map(genus: int, layout: str = "std") -> TorelliGenDescriptor:
     """The library bounding-pair map.  Layout "std" pairs a band-sum curve
     in the class of a2 with the a2 curve itself, cobounding handle 1."""
     if genus < 2:
         raise GenusMismatch(f"bounding pairs need genus >= 2, got {genus}")
     if layout != "std":
         raise ParseError(f"unknown bounding-pair layout {layout!r}")
-    action = _bp_std_action(genus)
-    desc = TorelliGenDescriptor(
-        name="BP:std", kind="bp", action=action,
+    return TorelliGenDescriptor(
+        name="BP:std", kind="bp", action=_bp_std_action(genus),
         curve_class=basis_vector(genus, 3), pairs=_handle_pairs(genus, 1))
-    return GeneratorEntry("BP:std", action, desc)
 
 
 def _builtin_names(genus: int) -> list[str]:
@@ -137,7 +115,7 @@ def _builtin_names(genus: int) -> list[str]:
     return names
 
 
-def _builtin(genus: int, name: str) -> GeneratorEntry:
+def _builtin(genus: int, name: str) -> TorelliGenDescriptor:
     """Build the built-in generator of one of :func:`_builtin_names`."""
     if name == "BDRY":
         return boundary_twist(genus)
@@ -146,7 +124,7 @@ def _builtin(genus: int, name: str) -> GeneratorEntry:
     return bscc_twist(genus, int(name[len("BSCC:"):]))
 
 
-def builtin_entries(genus: int) -> dict[str, GeneratorEntry]:
+def builtin_entries(genus: int) -> dict[str, TorelliGenDescriptor]:
     """Every built-in generator at this genus, by name."""
     return {name: _builtin(genus, name) for name in _builtin_names(genus)}
 
@@ -305,7 +283,8 @@ def _basis_pair_handles(pairs, genus: int, ln: int) -> list[int]:
     return [basis.index(pair) + 1 for pair in pairs]
 
 
-def _inline_bscc(name: str, rest: str, genus: int, ln: int) -> GeneratorEntry:
+def _inline_bscc(name: str, rest: str, genus: int,
+                 ln: int) -> TorelliGenDescriptor:
     if not rest.startswith("pairs"):
         raise ParseError("bscc generator needs `pairs (...)`", ln)
     pairs = _parse_pair_list(rest[len("pairs"):], genus, ln)
@@ -314,14 +293,13 @@ def _inline_bscc(name: str, rest: str, genus: int, ln: int) -> GeneratorEntry:
         raise ParseError(
             "bscc handle set must be a contiguous run for the built-in "
             "conjugation model", ln)
-    action = _run_twist(genus, handles[0], handles[-1])
-    desc = TorelliGenDescriptor(name=name, kind="bscc", action=action,
-                                pairs=pairs)
-    return GeneratorEntry(name, action, desc)
+    return TorelliGenDescriptor(
+        name=name, kind="bscc",
+        action=_run_twist(genus, handles[0], handles[-1]), pairs=pairs)
 
 
 def _inline_bp(name: str, rest: str, genus: int, ln: int,
-               load: Callable[[str], str]) -> GeneratorEntry:
+               load: Callable[[str], str]) -> TorelliGenDescriptor:
     parts = rest.split()
     if (len(parts) < 6 or parts[0] != "class" or parts[2] != "pair"
             or parts[-2] != "action"):
@@ -338,9 +316,9 @@ def _inline_bp(name: str, rest: str, genus: int, ln: int,
     if action.genus != genus:
         raise ParseError(
             f"action file has genus {action.genus}, word has genus {genus}", ln)
-    desc = TorelliGenDescriptor(name=name, kind="bp", action=action,
-                                curve_class=curve_class, pairs=pairs)
-    return GeneratorEntry(name, action, desc, action_path=path)
+    return TorelliGenDescriptor(name=name, kind="bp", action=action,
+                                curve_class=curve_class, pairs=pairs,
+                                action_path=path)
 
 
 def read_text(path: str) -> str:
@@ -354,19 +332,20 @@ def read_text(path: str) -> str:
 
 
 def parse_tor_file(text: str,
-                   load: Callable[[str], str] = read_text
-                   ) -> tuple[tuple[GeneratorEntry, int], ...]:
-    """Parse a .tor file into its Torelli word.
+                   load: Callable[[str], str] = read_text) -> TorelliWord:
+    """Parse a .tor file into its Torelli word: one (descriptor, exponent)
+    pair per letter, with exponent +1 or -1.
 
     Layout: a genus line, `gen` declarations, and a final `word` line.
     Built-in names (BDRY, BSCC:h, BP:std) need no declaration; each is
-    built once, when the word first names it.  ``load`` maps a bp action
-    path to that file's text.
+    built once, when the word first names it, and every letter naming a
+    generator holds the same descriptor.  ``load`` maps a bp action path
+    to that file's text.
     """
     lines = _meaningful_lines(text)
     genus = _parse_genus_line(lines)
     builtins = set(_builtin_names(genus))
-    entries: dict[str, GeneratorEntry] = {}
+    entries: dict[str, TorelliGenDescriptor] = {}
     word_line = None
     for ln, body in lines:
         head, _, rest = body.partition(" ")
@@ -407,30 +386,25 @@ def parse_tor_file(text: str,
     return tuple(letters)
 
 
-def serialize_tor_file(genus: int,
-                       word: tuple[tuple[GeneratorEntry, int], ...]) -> str:
+def serialize_tor_file(genus: int, word: TorelliWord) -> str:
     """Emit .tor text for a word; built-ins stay bare, inline generators
     are re-declared from their descriptors."""
     builtins = set(_builtin_names(genus))
     out = io.StringIO()
     out.write(f"genus {genus}\n")
     seen = set()
-    for entry, _exp in word:
-        if entry.name in builtins or entry.name in seen:
+    for d, _exp in word:
+        if d.name in builtins or d.name in seen:
             continue
-        seen.add(entry.name)
-        d = entry.descriptor
-        if d is None:
-            raise ValidationFailure(
-                f"generator {entry.name!r} has no descriptor to serialize")
+        seen.add(d.name)
         body = descriptor_spec(d)
         if d.kind == "bp":
-            if entry.action_path is None:
+            if d.action_path is None:
                 raise ValidationFailure(
-                    f"bp generator {entry.name!r} has no action path to emit")
-            body += f" action {entry.action_path}"
-        out.write(f"gen {entry.name} {d.kind} {body}\n")
-    toks = [e.name + ("'" if exp < 0 else "") for e, exp in word]
+                    f"bp generator {d.name!r} has no action path to emit")
+            body += f" action {d.action_path}"
+        out.write(f"gen {d.name} {d.kind} {body}\n")
+    toks = [d.name + ("'" if exp < 0 else "") for d, exp in word]
     out.write("word " + " ".join(toks) + "\n")
     return out.getvalue()
 

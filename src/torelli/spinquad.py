@@ -154,13 +154,14 @@ def form_literal(q: QuadForm) -> str:
 
 @dataclass(frozen=True, slots=True)
 class TorelliGenDescriptor:
-    """Evaluation data for one Torelli generator.
+    """One named Torelli generator: its action and Birman-Craggs data.
 
     kind "bscc": a twist about a bounding simple closed curve, with a
     symplectic basis of the bounded subsurface.  kind "bp": a bounding-pair
     map, with the pair's common homology class and a symplectic basis of
     the genus-1 cobounded subsurface.  ``action`` is the free-group action
-    used for the tau side of eta2.  Building a descriptor runs
+    used for the tau side of eta2; ``action_path`` is the `.map` file a
+    `.tor` file read it from.  Building a descriptor runs
     :func:`validate_descriptor`, so one in hand has symplectic pairs.
     """
 
@@ -169,6 +170,7 @@ class TorelliGenDescriptor:
     action: MappingClass
     pairs: tuple[tuple[H1Vector, H1Vector], ...] = ()
     curve_class: Optional[H1Vector] = None
+    action_path: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in ("bscc", "bp"):

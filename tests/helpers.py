@@ -17,6 +17,23 @@ def rand_word(rng, rank, length):
     return reduce(letters)
 
 
+def naive_apply(images, letters) -> tuple:
+    """Substitute ``images[j-1]`` (a letter sequence) for each letter j of
+    ``letters``, reversed and negated for -j, then freely reduce the whole
+    list with a stack: the word layer's substitution, with no shortcut."""
+    subst = []
+    for x in letters:
+        image = list(images[abs(x) - 1])
+        subst.extend(image if x > 0 else [-y for y in reversed(image)])
+    stack = []
+    for y in subst:
+        if stack and stack[-1] == -y:
+            stack.pop()
+        else:
+            stack.append(y)
+    return tuple(stack)
+
+
 def poly_mul(p, q, cutoff):
     out = {}
     for m1, c1 in p.items():

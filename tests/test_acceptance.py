@@ -279,11 +279,11 @@ def test_criterion_10_abelianization_separation(sweep):
     names = ("BSCC:1", "BP:std", "BDRY")
     for u in names:
         for v in names:
-            word = [(entries[u].descriptor, 1), (entries[v].descriptor, 1),
-                    (entries[u].descriptor, -1), (entries[v].descriptor, -1)]
+            word = [(entries[u], 1), (entries[v], 1),
+                    (entries[u], -1), (entries[v], -1)]
             assert eta2(word, genus=2).is_trivial(), (u, v)
     for name in ("BSCC:1", "BP:std"):
-        single = [(entries[name].descriptor, 1)]
+        single = [(entries[name], 1)]
         assert not eta2(single, genus=2).is_trivial(), name
     print("criterion 10: PASS")
 

@@ -209,6 +209,24 @@ class TestLie:
         assert "a1 a1 b1" in out.splitlines()
         assert out.splitlines()[-1] == "dim: 2"
 
+    @pytest.mark.parametrize("genus,k", [("1", "200"), ("50", "8")])
+    def test_oversized_listing_refused(self, capsys, monkeypatch, genus, k):
+        # refused from the layer's rank alone, before any word is listed
+        import torelli.cli as cli
+        monkeypatch.setattr(cli, "lyndon_basis",
+                            lambda *a: pytest.fail("listing was built"))
+        code, out, err = run(capsys, ["lie", "--genus", genus, "-k", k])
+        assert (code, out) == (1, "error: TOO_LARGE\n")
+        assert "listing budget is 100000" in err
+
+    def test_budget_is_inclusive(self, capsys, monkeypatch):
+        import torelli.cli as cli
+        monkeypatch.setattr(cli, "MAX_LISTING", 2)
+        code, out, _ = run(capsys, ["lie", "--genus", "1", "-k", "3"])
+        assert (code, out.splitlines()[-1]) == (0, "dim: 2")
+        code, out, _ = run(capsys, ["lie", "--genus", "1", "-k", "4"])
+        assert (code, out) == (1, "error: TOO_LARGE\n")
+
 
 class TestPresent:
     def test_torus_has_gamma(self, capsys, files):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli.errors import (GenusMismatch, MissingInverse, NotReduced, ParseError,
                             ValidationFailure)
@@ -24,7 +26,11 @@ from torelli.freegroup import (
     require_valid,
     validate,
     _int_det,
+    _trusted,
 )
+from torelli.mcglib import builtin_entries
+
+from helpers import handle_twists, naive_apply
 
 
 def rand_word(rng, genus, length):
@@ -309,3 +315,119 @@ class TestValidate:
         with pytest.raises(ValidationFailure) as err:
             MappingClass(1, (Word((1, 1)), Word((2,))))
         assert "abelianization: det = 2" in str(err.value)
+
+
+def draw_class(data, genus_range=(2, 3)):
+    """A product of built-ins and handle twists (and their inverses)."""
+    genus = data.draw(st.integers(*genus_range))
+    alphabet = ([d.action for d in builtin_entries(genus).values()]
+                + handle_twists(genus))
+    f = identity_class(genus)
+    for i, inv in data.draw(st.lists(
+            st.tuples(st.integers(0, len(alphabet) - 1), st.booleans()),
+            max_size=4)):
+        f = compose(f, alphabet[i].inverse() if inv else alphabet[i])
+    return f
+
+
+def corrupt_one_letter(data, w: Word, rank: int) -> Word:
+    """w with one letter replaced, or dropped, the result still reduced."""
+    letters = list(w.letters)
+    pos = data.draw(st.integers(0, len(letters) - 1))
+    prev = letters[pos - 1] if pos > 0 else None
+    nxt = letters[pos + 1] if pos + 1 < len(letters) else None
+    droppable = prev is None or nxt is None or prev != -nxt
+    if droppable and data.draw(st.booleans()):
+        del letters[pos]
+    else:
+        choices = [y for x in range(1, rank + 1) for y in (x, -x)
+                   if y != letters[pos] and -y not in (prev, nxt)]
+        letters[pos] = data.draw(st.sampled_from(choices))
+    return Word(tuple(letters))
+
+
+class TestOneSidedInverse:
+    """validate checks f g = id only; its verdict must be the two-sided one."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_two_sided(self, data):
+        f = draw_class(data)
+        n = 2 * f.genus
+        images, inverse = list(f.images), list(f.inverse_images)
+        side = data.draw(st.sampled_from(["none", "images", "inverse"]))
+        if side != "none":
+            words = images if side == "images" else inverse
+            j = data.draw(st.integers(0, n - 1))
+            words[j] = corrupt_one_letter(data, words[j], n)
+        fwd = _trusted(f.genus, tuple(images))
+        back = _trusted(f.genus, tuple(inverse))
+        two_sided = (compose(fwd, back).is_identity()
+                     and compose(back, fwd).is_identity())
+        report = validate(_trusted(f.genus, tuple(images), tuple(inverse)))
+        status = {c.name: c.status for c in report.checks}["inverse"]
+        assert status == ("pass" if two_sided else "fail")
+        assert two_sided == (side == "none")
+
+    def test_one_composition(self, monkeypatch):
+        import torelli.freegroup as fg
+        calls = []
+        original = fg.compose
+        monkeypatch.setattr(fg, "compose",
+                            lambda f, h: calls.append(1) or original(f, h))
+        assert validate(builtin_entries(3)["BP:std"].action).ok
+        assert len(calls) == 1
+
+
+class TestSubstitutionOracle:
+    """apply, multiply and compose against list substitution plus stack
+    reduction, on words built so that most letters cancel at a junction."""
+
+    @staticmethod
+    def words(data, rank):
+        letter = st.integers(1, rank).flatmap(lambda x: st.sampled_from((x, -x)))
+        return [reduce(data.draw(st.lists(letter, max_size=size)))
+                for size in (12, 30, 12)]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_multiply(self, data):
+        rank = 2 * data.draw(st.integers(1, 3))
+        ident = [(x,) for x in range(1, rank + 1)]
+        w, u, v = self.words(data, rank)
+        # w u times u^-1 v, and a conjugate by a long word
+        left, right = multiply(w, u), multiply(invert(u), v)
+        assert multiply(left, right).letters == naive_apply(
+            ident, left.letters + right.letters)
+        conj = multiply(multiply(u, w), invert(u))
+        assert conj.letters == naive_apply(
+            ident, u.letters + w.letters + invert(u).letters)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply(self, data):
+        f = draw_class(data)
+        rank = 2 * f.genus
+        images = [w.letters for w in f.images]
+        w, u, v = self.words(data, rank)
+        g = f.inverse()
+        for word in (multiply(multiply(w, u), multiply(invert(u), v)),
+                     conjugate(w, u), conjugate(apply(g, w), u)):
+            assert apply(f, word).letters == naive_apply(images, word.letters)
+        # f(f^-1(x)) = x: every junction of the substitution cancels
+        for j, back in enumerate(g.images, start=1):
+            assert naive_apply(images, back.letters) == (j,)
+            assert apply(f, back).letters == (j,)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_compose(self, data):
+        f = draw_class(data)
+        h = draw_class(data, (f.genus, f.genus))
+        fh = compose(f, h)
+        assert [w.letters for w in fh.images] == [
+            naive_apply([x.letters for x in f.images], w.letters)
+            for w in h.images]
+        assert [w.letters for w in fh.inverse_images] == [
+            naive_apply([x.letters for x in h.inverse_images], w.letters)
+            for w in f.inverse_images]

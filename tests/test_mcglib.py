@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,6 @@ from torelli.freegroup import (
 )
 from torelli.johnson import filtration_depth, tau
 from torelli.mcglib import (
-    GeneratorEntry,
     boundary_twist,
     bp_map,
     bscc_twist,
@@ -48,10 +49,10 @@ class TestSurfaceModel:
     def test_basis_vectors(self):
         x1, y1, x2, y2 = (basis_vector(2, i) for i in range(1, 5))
         assert (x1, y2) == ((1, 0, 0, 0), (0, 0, 0, 1))
-        assert bscc_twist(2, 1).descriptor.pairs == ((x1, y1),)
-        assert boundary_twist(2).descriptor.pairs == ((x1, y1), (x2, y2))
-        assert bp_map(2).descriptor.curve_class == x2
-        assert bp_map(2).descriptor.pairs == ((x1, y1),)
+        assert bscc_twist(2, 1).pairs == ((x1, y1),)
+        assert boundary_twist(2).pairs == ((x1, y1), (x2, y2))
+        assert bp_map(2).curve_class == x2
+        assert bp_map(2).pairs == ((x1, y1),)
 
     def test_genus_bound(self):
         with pytest.raises(GenusMismatch):
@@ -72,7 +73,7 @@ class TestBsccTwist:
         e = bscc_twist(2, 1)
         report = validate(e.action)
         assert report.ok
-        validate_descriptor(e.descriptor)
+        validate_descriptor(e)
 
     def test_tau2_vanishes(self):
         assert tau(bscc_twist(2, 1).action, 2).is_zero()
@@ -82,7 +83,7 @@ class TestBsccTwist:
         c2 = Word((1, 2, -1, -2, 3, 4, -3, -4))
         assert e.action.images[0] == conjugate(Word((1,)), c2)
         assert e.action.images[4] == Word((5,))
-        assert len(e.descriptor.pairs) == 2
+        assert len(e.pairs) == 2
 
     @pytest.mark.parametrize("genus,h", [(2, 0), (2, 2), (1, 1), (3, 3)])
     def test_range_errors(self, genus, h):
@@ -101,14 +102,14 @@ class TestBoundaryTwist:
         assert filtration_depth(boundary_twist(1).action).depth == 3
 
     def test_descriptor_covers_all_handles(self):
-        assert len(boundary_twist(3).descriptor.pairs) == 3
+        assert len(boundary_twist(3).pairs) == 3
 
 
 class TestBpMap:
     def test_validates(self):
         e = bp_map(2)
         assert validate(e.action).ok
-        validate_descriptor(e.descriptor)
+        validate_descriptor(e)
 
     def test_tau2_nonzero(self):
         assert not tau(bp_map(2).action, 2).is_zero()
@@ -148,7 +149,7 @@ class TestBuiltinEntries:
         for g in range(1, 9):
             for entry in builtin_entries(g).values():
                 assert validate(entry.action).ok
-                validate_descriptor(entry.descriptor)
+                validate_descriptor(entry)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -244,7 +245,7 @@ class TestParseTorFile:
 
     def test_inverse_pair_composes_to_identity(self):
         word = parse_tor_file("genus 2\nword BP:std BP:std'\n")
-        assert composed_action(word_to_descriptors(word), 2).is_identity()
+        assert composed_action(word, 2).is_identity()
 
     def test_commutator_word(self):
         text = "genus 2\ngen T1 bscc pairs (x1 y1)\nword T1 BP:std T1' BP:std'\n"
@@ -307,7 +308,14 @@ class TestParseTorFile:
                 "word P P'\n")
         word = parse_tor_file(text, load={"table.map": action_text}.__getitem__)
         assert word[0][0].action.images == bp_map(2).action.images
-        assert word[0][0].descriptor.curve_class == (0, 0, 1, 0)
+        assert word[0][0].curve_class == (0, 0, 1, 0)
+        assert word[0][0].action_path == "table.map"
+
+    def test_bp_without_action_path_not_serialized(self):
+        # a bp generator re-declared in .tor text must name its action file
+        unnamed = dataclasses.replace(bp_map(2), name="P")
+        with pytest.raises(ValidationFailure, match="no action path"):
+            serialize_tor_file(2, [(unnamed, 1)])
 
     def test_inline_bp_validates_its_action_once(self, monkeypatch):
         import torelli.freegroup as fg
@@ -362,7 +370,3 @@ class TestParseTorFile:
         for (e1, _), (e2, _) in zip(word, again):
             assert e1.action.images == e2.action.images
         assert serialize_tor_file(2, again) == emitted
-
-
-def word_to_descriptors(word):
-    return [(entry.descriptor, exp) for entry, exp in word]

@@ -207,7 +207,7 @@ class TestFormLiteral:
 class TestDescriptors:
     def test_library_descriptors_validate(self):
         for entry in (bscc_twist(2, 1), boundary_twist(2), bp_map(2)):
-            validate_descriptor(entry.descriptor)
+            validate_descriptor(entry)
 
     def test_bp_needs_curve_class(self):
         action = bp_map(2).action
@@ -243,25 +243,25 @@ class TestRho:
         assert rho(form(0, 0, 0, 0), []) == 0
 
     def test_bscc_rule(self):
-        d = bscc_twist(2, 1).descriptor
+        d = bscc_twist(2, 1)
         q = form(1, 1, 1, 1)
         assert rho(q, [(d, 1)]) == 1
 
     def test_bp_rule_kills_forms_on_the_class(self):
-        d = bp_map(2).descriptor
+        d = bp_map(2)
         for q in enumerate_forms(2, 0):
             expected = 0 if q_eval(q, d.curve_class) == 1 else \
                 q_eval(q, d.pairs[0][0]) * q_eval(q, d.pairs[0][1])
             assert rho(q, [(d, 1)]) == expected
 
     def test_exponent_sign_irrelevant(self):
-        d = bscc_twist(2, 1).descriptor
+        d = bscc_twist(2, 1)
         for q in enumerate_forms(2, 0):
             assert rho(q, [(d, 1)]) == rho(q, [(d, -1)])
 
     def test_additive_and_order_blind(self):
-        d1 = bscc_twist(2, 1).descriptor
-        d2 = bp_map(2).descriptor
+        d1 = bscc_twist(2, 1)
+        d2 = bp_map(2)
         for q in enumerate_forms(2, 0):
             w12 = rho(q, [(d1, 1), (d2, 1)])
             assert w12 == (rho(q, [(d1, 1)]) + rho(q, [(d2, 1)])) % 2
@@ -269,7 +269,7 @@ class TestRho:
 
     def test_boundary_twist_invisible(self):
         # whole-surface restriction is Arf itself, zero on admissible forms
-        d = boundary_twist(2).descriptor
+        d = boundary_twist(2)
         for q in enumerate_forms(2, 0):
             assert rho(q, [(d, 1)]) == 0
 
@@ -286,7 +286,7 @@ class TestEta2:
         assert v.is_trivial()
 
     def test_single_bscc_genus2(self):
-        d = bscc_twist(2, 1).descriptor
+        d = bscc_twist(2, 1)
         v = eta2([(d, 1)])
         assert v.tau2.is_zero()
         forms = enumerate_forms(2, 0)
@@ -296,30 +296,30 @@ class TestEta2:
         assert not v.is_trivial()
 
     def test_single_bp_genus2(self):
-        d = bp_map(2).descriptor
+        d = bp_map(2)
         v = eta2([(d, 1)])
         assert not v.tau2.is_zero()
         assert not v.is_trivial()
 
     def test_square_kills_rho_part(self):
-        d = bp_map(2).descriptor
+        d = bp_map(2)
         v = eta2([(d, 1), (d, 1)])
         assert v.rho_bits == (0,) * 10
         assert v.tau2 == eta2([(d, 1)]).tau2.add(eta2([(d, 1)]).tau2)
 
     def test_commutator_word_trivial(self):
-        d1 = bscc_twist(2, 1).descriptor
-        d2 = bp_map(2).descriptor
+        d1 = bscc_twist(2, 1)
+        d2 = bp_map(2)
         word = [(d1, 1), (d2, 1), (d1, -1), (d2, -1)]
         assert eta2(word).is_trivial()
 
     def test_composed_action_is_left_fold(self):
-        d = bp_map(2).descriptor
+        d = bp_map(2)
         f = composed_action([(d, 1), (d, -1)], 2)
         assert f.is_identity()
 
     def test_composed_action_starts_from_first_letter(self):
-        d = bp_map(2).descriptor
+        d = bp_map(2)
         assert composed_action([(d, 1)]) is d.action
         assert composed_action([], 2).is_identity()
         with pytest.raises(GenusMismatch):
@@ -330,6 +330,6 @@ class TestEta2:
     def test_genus3_bp_has_visible_rho(self):
         # with a spare handle the Arf condition no longer kills the
         # nonzero branch of the pair rule
-        d = bp_map(3).descriptor
+        d = bp_map(3)
         v = eta2([(d, 1)])
         assert any(v.rho_bits)
