@@ -19,8 +19,8 @@ from .johnson import (DEFAULT_DEPTH, DEFAULT_TOWER_MAX, bordant,
 from .mcglib import (builtin_entries, descriptor_spec, parse_map_file,
                      parse_tor_file, read_text)
 from .present import eta_block_ranks, present_filled, present_mapping_torus
-from .spinquad import (composed_action, enumerate_forms, eta2, form_literal,
-                       parse_form_literal, rho, word_genus)
+from .spinquad import (composed_action, eta2, form_literal_blocks,
+                       parse_form_literal, rho, rho_bits, word_genus)
 
 # ---------------------------------------------------------------------------
 # shared text forms
@@ -161,11 +161,8 @@ def cmd_morita_check(args) -> int:
 
 def cmd_bc(args) -> int:
     word = load_tor_word(args.input)
-    genus = word_genus(word)
     if args.all_forms:
-        bits = "".join(str(rho(q, word))
-                       for q in enumerate_forms(genus, arf_filter=0))
-        print(f"rho: {bits}")
+        print(f"rho: {rho_bits(word)}")
     elif args.form:
         q = parse_form_literal(args.form)
         print(f"rho: {rho(q, word)}")
@@ -184,10 +181,11 @@ def cmd_eta2(args) -> int:
 
 
 def cmd_forms(args) -> int:
-    forms = enumerate_forms(args.genus, args.arf)
-    for q in forms:
-        print(form_literal(q))
-    print(f"count: {len(forms)}")
+    count = 0
+    for head, tails in form_literal_blocks(args.genus, args.arf):
+        sys.stdout.write(head + ("\n" + head).join(tails) + "\n")
+        count += len(tails)
+    print(f"count: {count}")
     return 0
 
 

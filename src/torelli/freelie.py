@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .errors import NotALieElement
+from .errors import NotALieElement, TooLarge
 
 Polynomial = dict[tuple[int, ...], int]
 
@@ -39,14 +39,33 @@ def _mobius(n: int) -> int:
     return result
 
 
+# Bound on degree * ceil(log2 rank), the bits of the largest power that
+# witt_dim takes.  The rank it returns then has at most 1,234 decimal
+# digits, well inside the 4,300 that Python 3.11 converts to text.
+MAX_WITT_BITS = 4096
+
+
 def witt_dim(rank: int, degree: int) -> int:
-    """Rank of the degree-d layer of the free Lie ring on ``rank`` letters."""
+    """Rank of the degree-d layer of the free Lie ring on ``rank`` letters:
+    (1/d) sum over the divisors e of d of mu(e) rank^(d/e).
+
+    Refused with TooLarge, before any power is taken, when
+    degree * ceil(log2 rank) exceeds MAX_WITT_BITS."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    bits = degree * (rank - 1).bit_length()
+    if bits > MAX_WITT_BITS:
+        raise TooLarge(f"the degree-{degree} layer on {rank} letters is not "
+                       f"ranked: degree * ceil(log2 rank) = {bits} exceeds "
+                       f"{MAX_WITT_BITS}")
     total = 0
-    for e in range(1, degree + 1):
+    e = 1
+    while e * e <= degree:
         if degree % e == 0:
             total += _mobius(e) * rank ** (degree // e)
+            if e * e != degree:
+                total += _mobius(degree // e) * rank ** e
+        e += 1
     return total // degree
 
 
@@ -250,6 +269,12 @@ class H1LieTensor:
             if comp.rank != n or comp.degree != self.degree:
                 raise ValueError("component in the wrong Lie layer")
 
+    @classmethod
+    def zero(cls, genus: int, degree: int) -> "H1LieTensor":
+        rank = 2 * genus
+        return cls(genus, degree,
+                   tuple(LieElement.zero(rank, degree) for _ in range(rank)))
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
@@ -260,9 +285,12 @@ class H1LieTensor:
             self.genus, self.degree,
             tuple(a.add(b) for a, b in zip(self.components, other.components)))
 
-    def neg(self) -> "H1LieTensor":
+    def scale(self, c: int) -> "H1LieTensor":
         return H1LieTensor(self.genus, self.degree,
-                           tuple(c.neg() for c in self.components))
+                           tuple(comp.scale(c) for comp in self.components))
+
+    def neg(self) -> "H1LieTensor":
+        return self.scale(-1)
 
 
 def bracket_map(tensor: H1LieTensor) -> LieElement:

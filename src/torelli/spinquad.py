@@ -6,7 +6,10 @@ x1, y1, ..., xg, yg and extended to all of H1 by the polarization law
 q(u+v) = q(u) + q(v) + u.v, where u.v is the mod-2 intersection pairing.
 Forms with Arf invariant 0 index the Birman-Craggs homomorphisms; each is
 evaluated on a Torelli word letterwise from its generator descriptor and
-summed in Z2.
+summed in Z2.  Over all forms at once, q(v) is affine in the basis values,
+so every Birman-Craggs bit of a word is one Boolean polynomial of degree at
+most 3 in them (Johnson, Trans. AMS 1980): :func:`rho_bits` evaluates it on
+truth tables, one bit per form.
 """
 
 from __future__ import annotations
@@ -94,17 +97,58 @@ def _require_symplectic(pairs: Sequence[tuple[H1Vector, H1Vector]]):
                     f"pair list not symplectic: pairs {i + 1},{j + 1} interact")
 
 
-def enumerate_forms(genus: int, arf_filter: Optional[int] = None) -> list[QuadForm]:
-    """All 2^{2g} forms in lexicographic basis-value order, optionally
-    filtered by Arf invariant.  Supported through genus 8."""
+def _check_form_genus(genus: int) -> None:
     if not 1 <= genus <= MAX_FORM_GENUS:
         raise GenusMismatch(f"genus must be in 1..{MAX_FORM_GENUS}, got {genus}")
-    out = []
-    for bits in itertools.product((0, 1), repeat=2 * genus):
-        q = QuadForm(bits)
-        if arf_filter is None or arf(q) == arf_filter:
-            out.append(q)
+
+
+def _side(lo: int, hi: int, cell, unit) -> list:
+    """``(cell(lo, ..) + ... + cell(hi, ..), parity)`` over the basis values
+    of handles lo..hi in lexicographic order, with the parity of the
+    number of handles whose two values are both 1."""
+    out = [(unit, 0)]
+    for i in range(hi, lo - 1, -1):
+        out = [(cell(i, a, b) + rest, p ^ (a & b))
+               for a in (0, 1) for b in (0, 1) for rest, p in out]
     return out
+
+
+def _form_blocks(genus: int, arf_filter: Optional[int], cell, unit) -> list:
+    """Every form, in lexicographic basis-value order and optionally of one
+    Arf invariant, as ``head + tail`` over ``(head, tails)`` blocks.
+
+    ``cell(i, a, b)`` stands for q(x_i) = a, q(y_i) = b, and ``unit`` is
+    the empty concatenation.  Heads cover the first g // 2 handles and
+    tails the rest.  The Arf invariant is the parity of the handles with
+    both values 1, so a head takes the tails of matching parity and no
+    form is tested on its own.
+    """
+    _check_form_genus(genus)
+    half = genus // 2
+    heads = _side(1, half, cell, unit)
+    tails = _side(half + 1, genus, cell, unit)
+    if arf_filter is None:
+        every = [t for t, _ in tails]
+        return [(head, every) for head, _ in heads]
+    by_parity = ([t for t, p in tails if p == 0], [t for t, p in tails if p == 1])
+    return [(head, by_parity[p ^ arf_filter]) for head, p in heads]
+
+
+def enumerate_forms(genus: int, arf_filter: Optional[int] = None) -> list[QuadForm]:
+    """All 2^{2g} forms in lexicographic basis-value order, optionally
+    filtered by Arf invariant.  Supported through genus 8.
+
+    The CLI builds no form: it lists them with :func:`form_literal_blocks`
+    and reads Birman-Craggs bits with :func:`rho_bits`."""
+    return [QuadForm(head + tail) for head, tails in _form_blocks(
+        genus, arf_filter, lambda i, a, b: (a, b), ()) for tail in tails]
+
+
+def form_literal_blocks(genus: int,
+                        arf_filter: Optional[int] = None) -> list[tuple[str, list[str]]]:
+    """:func:`form_literal` of each form of :func:`enumerate_forms`, in the
+    same order, as ``head + tail`` over the ``(head, tails)`` blocks."""
+    return _form_blocks(genus, arf_filter, _literal_cell, "")
 
 
 def parse_form_literal(text: str) -> QuadForm:
@@ -141,12 +185,15 @@ def parse_form_literal(text: str) -> QuadForm:
     return QuadForm(tuple(seen[k] for k in range(n)))
 
 
+def _literal_cell(i: int, a: int, b: int) -> str:
+    """Handle i's part of a form literal, with the `q:` prefix on handle 1."""
+    return f"{'q:' if i == 1 else ''} x{i}={a} y{i}={b}"
+
+
 def form_literal(q: QuadForm) -> str:
-    parts = []
-    for i in range(1, q.genus + 1):
-        parts.append(f"x{i}={q.basis_values[2 * i - 2]}")
-        parts.append(f"y{i}={q.basis_values[2 * i - 1]}")
-    return "q: " + " ".join(parts)
+    vals = q.basis_values
+    return "".join(_literal_cell(i, vals[2 * i - 2], vals[2 * i - 1])
+                   for i in range(1, q.genus + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +258,8 @@ def rho(q: QuadForm, word: TorelliWord) -> int:
     Rule for a bp map: 0 when q is 1 on the pair's class, otherwise the
     restricted Arf of the cobounded genus-1 piece.  Exponents are
     irrelevant in Z2.  A descriptor's pairs were checked symplectic when it
-    was built, so the restricted Arf is summed directly.
+    was built, so the restricted Arf is summed directly.  This evaluates
+    at one form; :func:`rho_bits` gives every Arf-0 form at once.
     """
     if arf(q) != 0:
         raise ArfNonZero("Birman-Craggs homomorphisms exist only for Arf-0 forms")
@@ -223,10 +271,60 @@ def rho(q: QuadForm, word: TorelliWord) -> int:
     return total % 2
 
 
+def rho_bits(word: TorelliWord, genus: Optional[int] = None) -> str:
+    """:func:`rho` of the word at every Arf-0 form of
+    :func:`enumerate_forms`, one character '0' or '1' per form, in order.
+
+    No form is visited: each function of the basis values is a truth table,
+    a 4^g-bit integer whose bit i is its value at the form of enumeration
+    index i, so XOR adds and AND multiplies.  q(v) is the XOR of the basis
+    tables picked by v, complemented when v has an odd number of handles
+    with both bits set.  A bscc letter adds the XOR of q(x) q(y) over its
+    pairs, a bp letter the same masked by 1 + q(c).  Supported through
+    genus 8, like :func:`enumerate_forms`.
+    """
+    g = word_genus(word, genus)
+    _check_form_genus(g)
+    n = 2 * g
+    size = 1 << n
+    ones = (1 << size) - 1
+    # basis value k (1-based) is bit n-k of the enumeration index: runs of
+    # 2^(n-k) zeros then as many ones, repeated across the table
+    basis = []
+    for k in range(1, n + 1):
+        run = 1 << (n - k)
+        basis.append((((1 << run) - 1) << run) * (ones // ((1 << 2 * run) - 1)))
+
+    def value(v: H1Vector) -> int:
+        table = 0
+        for bit, b in zip(v, basis):
+            if bit:
+                table ^= b
+        if sum(v[k] & v[k + 1] for k in range(0, n, 2)) % 2:
+            table ^= ones
+        return table
+
+    total = 0
+    for desc, _exp in word:
+        table = 0
+        for x, y in desc.pairs:
+            table ^= value(x) & value(y)
+        if desc.kind == "bp":
+            table &= ~value(desc.curve_class)
+        total ^= table
+    arf_table = 0
+    for k in range(0, n, 2):
+        arf_table ^= basis[k] & basis[k + 1]
+    # bit i of a table is character i of its reversed binary text
+    bits = format(total, f"0{size}b")[::-1]
+    arfs = format(arf_table, f"0{size}b")[::-1]
+    return "".join(itertools.compress(bits, map("0".__eq__, arfs)))
+
+
 @dataclass(frozen=True, slots=True)
 class Eta2Value:
-    """The level-2 combined invariant: tau_2 of the composed action plus
-    one Birman-Craggs bit per Arf-0 form, in enumeration order."""
+    """The level-2 combined invariant: tau_2 of the word plus one
+    Birman-Craggs bit per Arf-0 form, in enumeration order."""
 
     genus: int
     tau2: H1LieTensor
@@ -237,13 +335,17 @@ class Eta2Value:
 
 
 def word_genus(word: TorelliWord, genus: Optional[int] = None) -> int:
-    """Genus of the word's actions, checked against ``genus`` when given;
-    an empty word needs the explicit genus."""
+    """Genus of the word's actions, checked against ``genus`` when given
+    and against every letter; an empty word needs the explicit genus."""
     if word:
         inferred = word[0][0].action.genus
         if genus is not None and genus != inferred:
             raise GenusMismatch(
                 f"word is at genus {inferred}, asked for {genus}")
+        for desc, _exp in word:
+            if desc.action.genus != inferred:
+                raise GenusMismatch(
+                    f"word mixes genus {inferred} and {desc.action.genus}")
         return inferred
     if genus is None:
         raise GenusMismatch("empty word needs an explicit genus")
@@ -263,9 +365,22 @@ def composed_action(word: TorelliWord,
 
 
 def eta2(word: TorelliWord, genus: Optional[int] = None) -> Eta2Value:
-    """tau_2 of the composed action together with all Birman-Craggs values."""
+    """tau_2 of the word together with all Birman-Craggs values.
+
+    tau_2 is a homomorphism on the Torelli group (Johnson, Math. Ann.
+    1980), so it is the sum of tau_2 over the word's distinct generators,
+    each scaled by its net exponent; a letter counts +1 when its exponent
+    is >= 0 and -1 otherwise, as in :func:`composed_action`.  Nothing is
+    composed, and no inverse images are needed.
+    """
     g = word_genus(word, genus)
-    f = composed_action(word, g)
-    t2 = tau(f, 2)
-    bits = tuple(rho(q, word) for q in enumerate_forms(g, arf_filter=0))
-    return Eta2Value(g, t2, bits)
+    bits = rho_bits(word, g)
+    net: dict[int, list] = {}
+    for desc, exp in word:
+        entry = net.setdefault(id(desc), [desc, 0])
+        entry[1] += 1 if exp >= 0 else -1
+    t2 = H1LieTensor.zero(g, 2)
+    for desc, e in net.values():
+        if e:
+            t2 = t2.add(tau(desc.action, 2).scale(e))
+    return Eta2Value(g, t2, tuple(map(int, bits)))

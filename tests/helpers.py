@@ -1,5 +1,6 @@
 """Independent slow-path oracles used to pin down the fast implementations."""
 
+import itertools
 from functools import lru_cache
 
 from torelli.errors import NotInJk
@@ -8,6 +9,7 @@ from torelli.freegroup import (MappingClass, Word, commutator, compose,
 from torelli.freelie import H1LieTensor, LieElement
 from torelli.magnus import magnus_expand
 from torelli.present import Presentation
+from torelli.spinquad import QuadForm, arf
 
 
 def rand_word(rng, rank, length):
@@ -155,6 +157,13 @@ def fox_coefficient(w: Word, mono) -> int:
         if not element:
             return 0
     return augmentation(element)
+
+
+def product_forms(genus, arf_filter=None):
+    """Every form by itertools.product, each tested for its Arf invariant:
+    the reference order and filter of the form enumeration."""
+    return [q for q in map(QuadForm, itertools.product((0, 1), repeat=2 * genus))
+            if arf_filter is None or arf(q) == arf_filter]
 
 
 def strip_gamma(p: Presentation) -> Presentation:

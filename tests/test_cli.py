@@ -4,13 +4,16 @@ from pathlib import Path
 import pytest
 
 from torelli.cli import main
-from torelli.freegroup import identity_class
+from torelli.freegroup import MappingClass, identity_class
 from torelli.mcglib import (
     boundary_twist,
     builtin_entries,
     serialize_map_file,
     serialize_tor_file,
 )
+from torelli.spinquad import MAX_FORM_GENUS, form_literal
+
+from helpers import product_forms
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +176,21 @@ class TestEta2:
         assert code == 0
         assert out.splitlines()[-1] == "trivial: false"
 
+    def test_inverse_letter_without_inverse_block(self, capsys, tmp_path):
+        # eta2 sums tau_2 over the letters instead of composing them, so an
+        # action file with no `inverse` block serves an inverted letter
+        bp = builtin_entries(2)["BP:std"]
+        (tmp_path / "p.map").write_text(
+            serialize_map_file(MappingClass(2, bp.action.images)))
+        (tmp_path / "p.tor").write_text(
+            "genus 2\ngen P bp class x2 pair (x1 y1) action p.map\nword P'\n")
+        (tmp_path / "std.tor").write_text("genus 2\nword BP:std'\n")
+        code, out, _ = run(capsys, ["eta2", "-i", str(tmp_path / "p.tor")])
+        assert code == 0
+        assert (code, out) == run(capsys, ["eta2", "-i",
+                                           str(tmp_path / "std.tor")])[:2]
+        assert "a1: -[a1 a2]" in out.splitlines()
+
 
 class TestForms:
     @pytest.mark.parametrize("genus,count", [(1, 3), (2, 10)])
@@ -189,6 +207,22 @@ class TestForms:
         code, out, _ = run(capsys, ["forms", "--genus", "2"])
         assert code == 0
         assert out.splitlines()[-1] == "count: 16"
+
+    @pytest.mark.parametrize("genus", range(4, 8))
+    @pytest.mark.parametrize("arf", [None, 0, 1])
+    def test_listing_matches_form_literal(self, capsys, genus, arf):
+        argv = ["forms", "--genus", str(genus)]
+        if arf is not None:
+            argv += ["--arf", str(arf)]
+        forms = product_forms(genus, arf)
+        expected = "".join(form_literal(q) + "\n" for q in forms)
+        assert run(capsys, argv)[:2] == (0, expected + f"count: {len(forms)}\n")
+
+    @pytest.mark.parametrize("genus", [0, MAX_FORM_GENUS + 1])
+    def test_genus_out_of_range(self, capsys, genus):
+        assert run(capsys, ["forms", "--genus", str(genus)]) == (
+            1, "error: GENUS_MISMATCH\n",
+            f"genus must be in 1..{MAX_FORM_GENUS}, got {genus}\n")
 
 
 class TestLie:
@@ -218,6 +252,15 @@ class TestLie:
         code, out, err = run(capsys, ["lie", "--genus", genus, "-k", k])
         assert (code, out) == (1, "error: TOO_LARGE\n")
         assert "listing budget is 100000" in err
+
+    @pytest.mark.parametrize("verb,k", [("lie", "20000"), ("blocks", "20000"),
+                                        ("lie", "100000000")])
+    def test_huge_degree_refused(self, capsys, verb, k):
+        # refused before the Witt rank's powers are taken, so the rank is
+        # never formatted past Python's integer-to-text digit limit
+        code, out, err = run(capsys, [verb, "--genus", "1", "-k", k])
+        assert (code, out) == (1, "error: TOO_LARGE\n")
+        assert "exceeds 4096" in err
 
     def test_budget_is_inclusive(self, capsys, monkeypatch):
         import torelli.cli as cli

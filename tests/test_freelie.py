@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torelli.errors import NotALieElement
+from torelli.errors import NotALieElement, TooLarge
 from torelli.freegroup import Word
 from torelli.freelie import (
+    MAX_WITT_BITS,
     H1LieTensor,
     LieElement,
     bracket_map,
@@ -50,6 +51,27 @@ class TestWitt:
     def test_degree_check(self):
         with pytest.raises(ValueError):
             witt_dim(2, 0)
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_divisor_pairs_match_every_divisor(self, rank):
+        # the sum over e <= sqrt(d) and d/e against the sum over all e
+        for degree in range(1, 121):
+            full = sum(_mobius(e) * rank ** (degree // e)
+                       for e in range(1, degree + 1) if degree % e == 0)
+            assert witt_dim(rank, degree) == full // degree
+
+    @pytest.mark.parametrize("rank,degree,refused", [
+        (2, 4096, False), (2, 4097, True), (3, 2048, False), (3, 2049, True),
+        (4, 2049, True), (100, 585, False), (100, 586, True),
+        (1, 10 ** 8, False)])
+    def test_size_bound(self, rank, degree, refused):
+        # degree * ceil(log2 rank) may not exceed MAX_WITT_BITS
+        assert MAX_WITT_BITS == 4096
+        if refused:
+            with pytest.raises(TooLarge):
+                witt_dim(rank, degree)
+        else:
+            assert witt_dim(rank, degree) >= 0
 
 
 class TestLyndon:

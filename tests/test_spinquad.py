@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torelli.errors import ArfNonZero, GenusMismatch, ParseError, ValidationFailure
-from torelli.freegroup import (Word, commutator, conjugate, identity_class,
-                               invert, MappingClass)
-from torelli.mcglib import boundary_twist, bp_map, bscc_twist
+from torelli.freegroup import (Word, commutator, compose, conjugate,
+                               identity_class, invert, MappingClass)
+from torelli.johnson import tau
+from torelli.mcglib import boundary_twist, bp_map, bscc_twist, builtin_entries
 from torelli.spinquad import (
     Eta2Value,
     QuadForm,
@@ -23,8 +25,11 @@ from torelli.spinquad import (
     parse_form_literal,
     q_eval,
     rho,
+    rho_bits,
     validate_descriptor,
 )
+
+from helpers import handle_twists, product_forms
 
 bits_st = st.lists(st.sampled_from([0, 1]), min_size=4, max_size=4).map(tuple)
 
@@ -171,6 +176,12 @@ class TestEnumerateForms:
             enumerate_forms(0)
         with pytest.raises(GenusMismatch):
             enumerate_forms(9)
+
+    @pytest.mark.parametrize("genus", range(1, 6))
+    @pytest.mark.parametrize("arf_filter", [None, 0, 1])
+    def test_matches_product_order(self, genus, arf_filter):
+        assert enumerate_forms(genus, arf_filter) == \
+            product_forms(genus, arf_filter)
 
 
 class TestFormLiteral:
@@ -333,3 +344,94 @@ class TestEta2:
         d = bp_map(3)
         v = eta2([(d, 1)])
         assert any(v.rho_bits)
+
+
+@st.composite
+def rho_words(draw, genus):
+    """A word over the built-ins and over descriptors on a random
+    symplectic basis: bscc letters on a set of its pairs, bp letters on
+    one pair with any nonzero class.  rho reads only the homology data, so
+    the drawn descriptors carry the identity action."""
+    basis = random_symplectic(genus, random.Random(draw(st.integers(0, 2 ** 16))))
+    pairs = [(basis[2 * i], basis[2 * i + 1]) for i in range(genus)]
+    builtins = [boundary_twist(genus)] + [bscc_twist(genus, h)
+                                          for h in range(1, genus)]
+    if genus >= 2:
+        builtins.append(bp_map(genus))
+    vectors = st.lists(st.sampled_from([0, 1]), min_size=2 * genus,
+                       max_size=2 * genus).map(tuple)
+    handles = st.lists(st.integers(0, genus - 1), unique=True, max_size=genus)
+    letter = st.one_of(
+        st.sampled_from(builtins),
+        handles.map(lambda hs: TorelliGenDescriptor(
+            name="S", kind="bscc", action=identity_class(genus),
+            pairs=tuple(pairs[h] for h in hs))),
+        st.tuples(vectors.filter(any), st.integers(0, genus - 1)).map(
+            lambda cp: TorelliGenDescriptor(
+                name="P", kind="bp", action=identity_class(genus),
+                curve_class=cp[0], pairs=(pairs[cp[1]],))))
+    return draw(st.lists(st.tuples(letter, st.sampled_from([1, -1])),
+                         min_size=1, max_size=6))
+
+
+class TestRhoBits:
+    @pytest.mark.parametrize("genus", range(1, 6))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_rho_per_form(self, genus, data):
+        word = data.draw(rho_words(genus))
+        assert rho_bits(word, genus) == "".join(
+            str(rho(q, word)) for q in enumerate_forms(genus, 0))
+
+    def test_empty_word(self):
+        assert rho_bits([], 3) == "0" * 36
+        with pytest.raises(GenusMismatch):
+            rho_bits([])
+
+    def test_genus_bound(self):
+        # the same refusal as the form enumeration it stands for
+        word = [(pairs_descriptor(9, []), 1)]
+        with pytest.raises(GenusMismatch, match="genus must be in 1..8"):
+            rho_bits(word)
+
+
+@functools.lru_cache(maxsize=None)
+def torelli_letters(genus):
+    """The built-ins, and conjugates t c t^-1 of their actions by handle
+    twists t as pair-less bscc descriptors (tau reads only the action)."""
+    builtins = list(builtin_entries(genus).values())
+    conjugates = [
+        TorelliGenDescriptor(
+            name=f"T{i}", kind="bscc",
+            action=compose(compose(t, c.action), t.inverse()))
+        for i, (t, c) in enumerate(itertools.product(handle_twists(genus),
+                                                     builtins))]
+    return builtins + conjugates
+
+
+class TestEta2Additive:
+    @pytest.mark.parametrize("genus", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_composed_action(self, genus, data):
+        word = data.draw(st.lists(
+            st.tuples(st.sampled_from(torelli_letters(genus)),
+                      st.sampled_from([1, -1])),
+            min_size=1, max_size=5))
+        assert eta2(word, genus).tau2 == tau(composed_action(word, genus), 2)
+
+    def test_needs_no_inverse_images(self):
+        # eta2 never composes, so a bp action without inverse images will do
+        bp = bp_map(2)
+        bare = TorelliGenDescriptor(
+            name="P", kind="bp", action=MappingClass(2, bp.action.images),
+            curve_class=bp.curve_class, pairs=bp.pairs)
+        assert eta2([(bare, -1)]) == eta2([(bp, -1)])
+        assert eta2([(bare, -1)]).tau2 == eta2([(bp, 1)]).tau2.neg()
+
+    def test_mixed_genus_word(self):
+        word = [(bp_map(2), 1), (bp_map(3), 1)]
+        for fn in (eta2, rho_bits):
+            with pytest.raises(GenusMismatch, match="mixes genus 2 and 3"):
+                fn(word)
+
