@@ -41,7 +41,8 @@ def _mobius(n: int) -> int:
 
 # Bound on degree * ceil(log2 rank), the bits of the largest power that
 # witt_dim takes.  The rank it returns then has at most 1,234 decimal
-# digits, well inside the 4,300 that Python 3.11 converts to text.
+# digits, well inside the 4,300 that Python converts to text by default
+# (3.10.7 and later).
 MAX_WITT_BITS = 4096
 
 
