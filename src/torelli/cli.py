@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 from .errors import ParseError, TooLarge, TorelliError
 from .freegroup import MappingClass, identity_class, letter_name, validate
@@ -26,12 +27,24 @@ from .spinquad import (composed_action, eta2, form_literal_blocks,
 # shared text forms
 
 
-def bracket_text(word: tuple[int, ...], genus: int) -> str:
-    """Render a Lyndon word as its bracketing, innermost letters named."""
+def bracket_text(word: tuple[int, ...], genus: int,
+                 memo: Optional[dict] = None) -> str:
+    """Render a Lyndon word as its bracketing, innermost letters named.
+
+    ``memo`` maps factors already rendered to their text; a listing passes
+    one dict, so each shorter Lyndon word is factorized once per listing.
+    """
     if len(word) == 1:
         return letter_name(word[0], genus)
-    u, v = standard_factorization(word)
-    return f"[{bracket_text(u, genus)} {bracket_text(v, genus)}]"
+    if memo is None:
+        memo = {}
+    parts = []
+    for factor in standard_factorization(word):
+        text = memo.get(factor)
+        if text is None:
+            text = memo[factor] = bracket_text(factor, genus, memo)
+        parts.append(text)
+    return f"[{parts[0]} {parts[1]}]"
 
 
 def lie_text(el: LieElement, genus: int) -> str:
@@ -190,8 +203,9 @@ def cmd_forms(args) -> int:
 
 
 # Largest `lie` listing answered, in basis words.  On a 2-core x86-64 host
-# (Python 3.11), genus 2 lists 29,120 words (k=9) in 0.7 s and 104,754
-# (k=10) in 2.8 s.
+# (Python 3.11), with the factor memo of `bracket_text`, genus 2 lists
+# 29,120 words (k=9) in 0.6 s and genus 1 lists 99,858 (k=21, 10.3 MB of
+# text) in 2.9 s.
 MAX_LISTING = 100_000
 
 
@@ -204,9 +218,10 @@ def cmd_lie(args) -> int:
                        f"{MAX_LISTING}")
     basis = lyndon_basis(rank, args.k)
     print(f"lie rank={rank} degree={args.k} basis={args.basis}")
+    memo: dict = {}
     for word in basis:
         if args.basis == "lyndon":
-            print(bracket_text(word, args.genus))
+            print(bracket_text(word, args.genus, memo))
         else:
             print(" ".join(letter_name(x, args.genus) for x in word))
     print(f"dim: {dim}")

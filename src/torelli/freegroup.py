@@ -3,7 +3,8 @@
 The fundamental group of the surface is free of rank 2g on standard
 generators a_1, b_1, ..., a_g, b_g.  Letters are nonzero signed integers:
 ``2i-1`` stands for a_i, ``2i`` for b_i, and negation is inversion.  A word
-is always stored freely reduced.  The boundary circle reads
+is always stored freely reduced, one signed byte per letter, so the genus
+is at most :data:`MAX_GENUS`.  The boundary circle reads
 
     zeta = [a_1, b_1] [a_2, b_2] ... [a_g, b_g],
 
@@ -17,16 +18,49 @@ when a class is built, so the operations on classes never repeat them.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import (GenusMismatch, MissingInverse, NotReduced, ParseError,
                      ValidationFailure)
 
+# A letter x is stored as the byte x & 0xFF and read back signed by
+# array("b"), so |x| <= 127: the 2g surface generators and the
+# mapping-torus generator gamma = 2g+1.
+MAX_GENUS = 63
 
-@dataclass(frozen=True, slots=True)
+# NEG takes the byte of x to the byte of -x, so the inverse of an encoded
+# word is data[::-1].translate(NEG); ABS takes it to |x|.
+NEG = bytes(-b & 0xFF for b in range(256))
+ABS = bytes(min(b, 256 - b) for b in range(256))
+
+
+def check_genus(genus: int) -> None:
+    """Raise GenusMismatch unless 1 <= genus <= MAX_GENUS."""
+    if not 1 <= genus <= MAX_GENUS:
+        raise GenusMismatch(f"genus must be in 1..{MAX_GENUS}, got {genus}")
+
+
+def _encode(letters: Iterable[int]) -> bytes:
+    """One signed byte per letter; a letter beyond +-127 is a GenusMismatch."""
+    try:
+        data = array("b", letters).tobytes()
+        if 0x80 not in data:
+            return data
+    except OverflowError:
+        pass
+    raise GenusMismatch(f"letters beyond +-{2 * MAX_GENUS + 1} need a genus "
+                        f"above {MAX_GENUS}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """A freely reduced word in the surface group generators.
+
+    Built from its letters, which are checked; ``data`` holds them one
+    signed byte each, and ``letters`` decodes them.  The operations below
+    build their results from reduced bytes, with no second check.
 
     >>> Word((1, 2, -1))
     Word("a1 b1 a1'")
@@ -36,29 +70,42 @@ class Word:
     torelli.errors.NotReduced: adjacent inverse pair at position 0
     """
 
-    letters: tuple[int, ...]
+    data: bytes
 
-    def __post_init__(self):
-        for pos, (x, y) in enumerate(zip(self.letters, self.letters[1:])):
+    def __init__(self, letters: Iterable[int]):
+        letters = tuple(letters)
+        for pos, (x, y) in enumerate(zip(letters, letters[1:])):
             if x == -y:
                 raise NotReduced(f"adjacent inverse pair at position {pos}")
-        if any(x == 0 for x in self.letters):
+        if 0 in letters:
             raise NotReduced("letter 0 is not a generator index")
+        object.__setattr__(self, "data", _encode(letters))
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return tuple(array("b", self.data))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.data)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
+        return iter(array("b", self.data))
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return bool(self.data)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
 
     def max_index(self) -> int:
-        return max((abs(x) for x in self.letters), default=0)
+        return max(self.data.translate(ABS), default=0)
+
+
+def _word(data: bytes) -> Word:
+    """A Word on encoded letters already known to be reduced; no check runs."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "data", data)
+    return w
 
 
 def reduce(letters: Iterable[int]) -> Word:
@@ -75,27 +122,39 @@ def reduce(letters: Iterable[int]) -> Word:
             out.pop()
         else:
             out.append(x)
-    return Word(tuple(out))
+    return _word(_encode(out))
 
 
-def _append(out: list[int], letters: tuple[int, ...]) -> None:
-    """Extend a reduced letter list by a reduced word; cancel at the join."""
-    i, n = 0, len(letters)
-    while i < n and out and out[-1] == -letters[i]:
-        out.pop()
-        i += 1
-    out.extend(letters[i:])
+def _join(out: bytearray, seq: bytes, inv: bytes) -> None:
+    """Extend the reduced word ``out`` by the reduced word ``seq``, whose
+    inverse is ``inv``, cancelling at the join.
+
+    The first L letters of seq cancel exactly when out ends with their
+    inverse, inv[n-L:], so the cancelled length is the length of the
+    common suffix of out and inv.  Read as big-endian integers of equal
+    length, two byte strings agree in their last L bytes exactly when
+    their XOR ends in L zero bytes: one comparison, done in C.
+    """
+    m, n = len(out), len(seq)
+    if not m or not n or out[-1] != inv[-1]:
+        out += seq
+        return
+    t = min(m, n)
+    x = int.from_bytes(out[m - t:], "big") ^ int.from_bytes(inv[n - t:], "big")
+    cancel = ((x & -x).bit_length() - 1) >> 3 if x else t
+    del out[m - cancel:]
+    out += seq[cancel:]
 
 
 def multiply(u: Word, v: Word) -> Word:
     """Concatenate and reduce.  multiply(w, invert(w)) is the identity."""
-    out = list(u.letters)
-    _append(out, v.letters)
-    return Word(tuple(out))
+    out = bytearray(u.data)
+    _join(out, v.data, v.data[::-1].translate(NEG))
+    return _word(bytes(out))
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple(-x for x in reversed(w.letters)))
+    return _word(w.data[::-1].translate(NEG))
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -109,13 +168,9 @@ def conjugate(u: Word, by: Word) -> Word:
 
 def boundary_word(genus: int) -> Word:
     """zeta = [a_1, b_1] ... [a_g, b_g]; the reduced word, length 4g."""
-    if genus < 1:
-        raise GenusMismatch(f"genus must be >= 1, got {genus}")
-    letters = []
-    for i in range(1, genus + 1):
-        a, b = 2 * i - 1, 2 * i
-        letters += [a, b, -a, -b]
-    return Word(tuple(letters))
+    check_genus(genus)
+    return _word(_encode(x for a in range(1, 2 * genus, 2)
+                         for x in (a, a + 1, -a, -a - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +256,7 @@ class MappingClass:
 
     def __post_init__(self):
         n = 2 * self.genus
-        if self.genus < 1:
-            raise GenusMismatch(f"genus must be >= 1, got {self.genus}")
+        check_genus(self.genus)
         if len(self.images) != n:
             raise GenusMismatch(
                 f"expected {n} generator images, got {len(self.images)}")
@@ -221,7 +275,8 @@ class MappingClass:
         require_valid(self)
 
     def is_identity(self) -> bool:
-        return all(w.letters == (j,) for j, w in enumerate(self.images, start=1))
+        return all(w.data == bytes((j,))
+                   for j, w in enumerate(self.images, start=1))
 
     def inverse(self) -> "MappingClass":
         if self.inverse_images is None:
@@ -244,9 +299,8 @@ def _trusted(genus: int, images: tuple[Word, ...],
 
 
 def identity_class(genus: int) -> MappingClass:
-    if genus < 1:
-        raise GenusMismatch(f"genus must be >= 1, got {genus}")
-    gens = tuple(Word((j,)) for j in range(1, 2 * genus + 1))
+    check_genus(genus)
+    gens = tuple(_word(bytes((j,))) for j in range(1, 2 * genus + 1))
     return _trusted(genus, gens, gens)
 
 
@@ -257,21 +311,27 @@ def displacements(f: MappingClass) -> tuple[Word, ...]:
 
 
 def apply(f: MappingClass, w: Word) -> Word:
-    """Image of a word under f, reduced; each image is inverted at most once."""
+    """Image of a word under f, reduced.
+
+    Substitutes encoded images into one bytearray; :func:`_join` cancels
+    each join in C.  Each image used is inverted once, and the result is
+    built from the reduced bytes without a second check.
+    """
     n = 2 * f.genus
-    inverted: dict[int, tuple[int, ...]] = {}
-    out: list[int] = []
-    for x in w.letters:
-        j = abs(x)
-        if j > n:
-            raise GenusMismatch(f"word uses generator index {j} beyond 2g={n}")
-        seq = f.images[j - 1].letters
-        if x < 0:
-            if j not in inverted:
-                inverted[j] = tuple(-y for y in reversed(seq))
-            seq = inverted[j]
-        _append(out, seq)
-    return Word(tuple(out))
+    if w.max_index() > n:
+        raise GenusMismatch(
+            f"word uses generator index {w.max_index()} beyond 2g={n}")
+    images = f.images
+    subst: dict[int, tuple[bytes, bytes]] = {}
+    out = bytearray()
+    for b in w.data:
+        pair = subst.get(b)
+        if pair is None:
+            seq = images[ABS[b] - 1].data
+            inv = seq[::-1].translate(NEG)
+            pair = subst[b] = (seq, inv) if b < 0x80 else (inv, seq)
+        _join(out, *pair)
+    return _word(bytes(out))
 
 
 def compose(f: MappingClass, h: MappingClass) -> MappingClass:
@@ -298,8 +358,11 @@ def abelianization(f: MappingClass) -> list[list[int]]:
     n = 2 * f.genus
     mat = [[0] * n for _ in range(n)]
     for j, w in enumerate(f.images):
-        for x in w.letters:
-            mat[abs(x) - 1][j] += 1 if x > 0 else -1
+        for b in w.data:
+            if b < 0x80:
+                mat[b - 1][j] += 1
+            else:
+                mat[255 - b][j] -= 1
     return mat
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotInJk
-from .freegroup import (MappingClass, Word, compose, displacements,
+from .freegroup import (MappingClass, Word, _trusted, compose, displacements,
                         letter_name)
 from .freelie import H1LieTensor, LieElement, bracket_map
 from .magnus import DEFAULT_DEPTH, TruncatedSeries, magnus_expand
@@ -151,7 +151,9 @@ def bordant(f: MappingClass, h: MappingClass, k: int) -> bool:
     for g in (f, h):
         _level_series(g, k, k - 1)
     rank = 2 * f.genus
-    diff = compose(f, h.inverse())
+    # h^-1 without inverse images, so compose builds the images of f h^-1
+    # only: nothing reads the inverse images of the difference
+    diff = compose(f, _trusted(h.genus, h.inverse().images))
     # membership at level 2k-1 needs no surviving term below degree 2k-1;
     # the check stops at the first generator that moves
     return all(_until_moves(w, rank, 2 * k - 2).min_positive_degree() is None

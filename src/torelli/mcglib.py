@@ -14,8 +14,8 @@ import io
 from typing import Callable
 
 from .errors import GenusMismatch, ParseError, ValidationFailure
-from .freegroup import (MappingClass, Word, _trusted, conjugate, format_word,
-                        invert, letter_name, parse_word, reduce)
+from .freegroup import (MappingClass, Word, _trusted, check_genus, conjugate,
+                        format_word, invert, letter_name, parse_word, reduce)
 from .spinquad import (H1Vector, TorelliGenDescriptor, TorelliWord,
                        basis_vector)
 
@@ -63,8 +63,7 @@ def bscc_twist(genus: int, h: int) -> TorelliGenDescriptor:
 
 def boundary_twist(genus: int) -> TorelliGenDescriptor:
     """Twist about a curve parallel to the boundary: conjugation by zeta."""
-    if genus < 1:
-        raise GenusMismatch(f"genus must be >= 1, got {genus}")
+    check_genus(genus)
     return TorelliGenDescriptor(name="BDRY", kind="bscc",
                                 action=_run_twist(genus, 1, genus),
                                 pairs=_handle_pairs(genus, genus))
@@ -126,6 +125,7 @@ def _builtin(genus: int, name: str) -> TorelliGenDescriptor:
 
 def builtin_entries(genus: int) -> dict[str, TorelliGenDescriptor]:
     """Every built-in generator at this genus, by name."""
+    check_genus(genus)
     return {name: _builtin(genus, name) for name in _builtin_names(genus)}
 
 
@@ -151,6 +151,7 @@ def _parse_genus_line(lines) -> int:
     g = int(parts[1])
     if g < 1:
         raise ParseError("genus must be >= 1", ln)
+    check_genus(g)
     return g
 
 

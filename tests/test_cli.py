@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli.cli import main
-from torelli.freegroup import MappingClass, identity_class
+from torelli.freegroup import (MAX_GENUS, MappingClass, identity_class,
+                               letter_name)
 from torelli.mcglib import (
     boundary_twist,
     builtin_entries,
@@ -327,6 +333,71 @@ class TestValidate:
         code, out, _ = run(capsys, ["validate", "-i", str(bad)])
         assert code == 1
         assert "error: VALIDATION_FAILED" in out
+
+
+def main_captured(argv):
+    """Exit code and stdout of one in-process run; Hypothesis tests cannot
+    share the function-scoped capsys fixture across examples."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+class TestGenusBound:
+    """A genus enters words through a .map or .tor genus line and through
+    `gens --genus`; one byte per letter bounds it by MAX_GENUS = 63."""
+
+    @staticmethod
+    def input_text(kind, genus):
+        if kind == "tor":
+            return f"genus {genus}\nword BSCC:1\n"
+        # the parser stops at the genus line, so a huge genus needs no images
+        lines = range(1, 2 * genus + 1) if genus <= MAX_GENUS + 3 else ()
+        return f"genus {genus}\nmap\n" + "".join(
+            f"{letter_name(j)} -> {letter_name(j)}\n" for j in lines)
+
+    @given(genus=st.integers(MAX_GENUS - 2, MAX_GENUS + 3)
+           | st.sampled_from([0, 1, 2 * MAX_GENUS + 1, 200, 10 ** 30]),
+           kind=st.sampled_from(["map", "tor"]),
+           verb=st.sampled_from(["validate", "depth", "present", "tau"]))
+    @settings(max_examples=40, deadline=None)
+    def test_inputs_around_the_bound(self, genus, kind, verb):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / f"in.{kind}"
+            path.write_text(self.input_text(kind, genus))
+            argv = [verb, "-i", str(path)] + (["-k", "2"] if verb == "tau" else [])
+            code, out = main_captured(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert out.startswith("error: ")
+        if genus > MAX_GENUS:
+            assert (code, out) == (1, "error: GENUS_MISMATCH\n")
+        elif genus == 0 or (kind == "tor" and genus == 1):
+            # a genus line of 0, or BSCC:1 named where it does not exist
+            assert (code, out) == (2, "error: SYNTAX_ERROR\n")
+        else:
+            assert code == 0
+
+    @given(genus=st.integers(MAX_GENUS + 1, MAX_GENUS + 3)
+           | st.sampled_from([-1, 0, 1, 2, 200, 10 ** 30]))
+    @settings(max_examples=15, deadline=None)
+    def test_gens_around_the_bound(self, genus):
+        code, out = main_captured(["gens", "--genus", str(genus)])
+        if 1 <= genus <= MAX_GENUS:
+            assert code == 0 and out.startswith("BDRY ")
+        else:
+            assert (code, out) == (1, "error: GENUS_MISMATCH\n")
+
+    def test_gens_answers_the_largest_genus(self):
+        code, out = main_captured(["gens", "--genus", str(MAX_GENUS)])
+        assert code == 0
+        assert out.splitlines()[-1].startswith("BSCC:9 ")
+        assert len(out.splitlines()) == MAX_GENUS + 1
 
 
 class TestErrorPaths:

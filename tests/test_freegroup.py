@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from torelli.errors import (GenusMismatch, MissingInverse, NotReduced, ParseError,
                             ValidationFailure)
 from torelli.freegroup import (
+    MAX_GENUS,
     CheckResult,
     MappingClass,
     Word,
@@ -29,6 +30,7 @@ from torelli.freegroup import (
     _trusted,
 )
 from torelli.mcglib import builtin_entries
+from torelli.present import present_mapping_torus
 
 from helpers import handle_twists, naive_apply
 
@@ -431,3 +433,103 @@ class TestSubstitutionOracle:
         assert [w.letters for w in fh.inverse_images] == [
             naive_apply([x.letters for x in h.inverse_images], w.letters)
             for w in f.inverse_images]
+
+
+class TestByteKernel:
+    """The byte kernel against list substitution plus stack reduction, on
+    cancelled runs of every length, up to whole words of 300 letters."""
+
+    @staticmethod
+    def reduced(rank, max_size):
+        """Reduced words of random letters, their length drawn uniformly
+        (a plain list strategy mostly draws short lists)."""
+        letter = st.integers(-rank, rank).filter(bool)
+        return st.integers(0, max_size).flatmap(
+            lambda n: st.lists(letter, min_size=n, max_size=n)).map(reduce)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_products_cancel_long_runs(self, data):
+        rank = 2 * data.draw(st.integers(1, 3))
+        ident = [(x,) for x in range(1, rank + 1)]
+        u = data.draw(self.reduced(rank, 300))
+        w, v = (data.draw(self.reduced(rank, 20)) for _ in range(2))
+        # w u times u^-1 v: the surviving part of u cancels at the join,
+        # and more when w and v cancel too; empty w or v cancels whole words
+        left, right = multiply(w, u), multiply(invert(u), v)
+        product = multiply(left, right)
+        assert product.letters == naive_apply(ident, left.letters + right.letters)
+        assert product == multiply(w, v)
+        assert multiply(left, invert(left)).letters == ()
+        assert multiply(invert(right), right).letters == ()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_apply_and_compose_on_long_conjugates(self, data):
+        f = draw_class(data)
+        rank = 2 * f.genus
+        u = data.draw(self.reduced(rank, 300))
+        w = data.draw(self.reduced(rank, 20))
+        images = [x.letters for x in f.images]
+        conj = conjugate(w, u)
+        assert apply(f, conj).letters == naive_apply(images, conj.letters)
+        assert apply(f, conj) == conjugate(apply(f, w), apply(f, u))
+        # conjugation by u, with its inverse conjugation by u^-1: every
+        # junction of a substitution into it cancels a copy of u
+        gens = [Word((j,)) for j in range(1, rank + 1)]
+        h = _trusted(f.genus, tuple(conjugate(x, u) for x in gens),
+                     tuple(conjugate(x, invert(u)) for x in gens))
+        for outer, inner in ((f, h), (h, f)):
+            composite = compose(outer, inner)
+            assert [x.letters for x in composite.images] == [
+                naive_apply([y.letters for y in outer.images], x.letters)
+                for x in inner.images]
+            assert [x.letters for x in composite.inverse_images] == [
+                naive_apply([y.letters for y in inner.inverse_images],
+                            x.letters)
+                for x in outer.inverse_images]
+
+    def test_letters_at_the_byte_edges(self):
+        top = 2 * MAX_GENUS  # b63, the largest surface letter
+        w = Word((top, -(top - 1), top + 1))
+        assert w.letters == (126, -125, 127)
+        assert list(w) == [126, -125, 127] and len(w) == 3
+        assert invert(w).letters == (-127, 125, -126)
+        assert multiply(w, invert(w)).letters == ()
+        assert multiply(invert(w), w).letters == ()
+        assert w.max_index() == invert(w).max_index() == 127
+        assert format_word(w, MAX_GENUS) == "b63 a63' gamma"
+        for bad in ((128,), (-128,), (1, 300)):
+            with pytest.raises(GenusMismatch):
+                Word(bad)
+            with pytest.raises(GenusMismatch):
+                reduce(bad)
+
+    def test_genus_bound(self):
+        assert len(boundary_word(MAX_GENUS)) == 4 * MAX_GENUS
+        assert identity_class(MAX_GENUS).is_identity()
+        for build in (boundary_word, identity_class):
+            with pytest.raises(GenusMismatch, match="1..63"):
+                build(MAX_GENUS + 1)
+        with pytest.raises(GenusMismatch, match="1..63"):
+            MappingClass(MAX_GENUS + 1, ())
+
+    def test_top_handle_twist_and_gamma(self):
+        # b63 -> b63 a63 at genus 63; the mapping-torus gamma is letter 127
+        g, a, b = MAX_GENUS, 2 * MAX_GENUS - 1, 2 * MAX_GENUS
+        images = [Word((j,)) for j in range(1, 2 * g + 1)]
+        inverses = list(images)
+        images[b - 1], inverses[b - 1] = Word((b, a)), Word((b, -a))
+        f = MappingClass(g, tuple(images), tuple(inverses))
+        assert apply(f, Word((-b, a, -b))).letters == naive_apply(
+            [x.letters for x in images], (-b, a, -b))
+        assert compose(f, f.inverse()).is_identity()
+        gamma = 2 * g + 1
+        ident = [(x,) for x in range(1, gamma + 1)]
+        p = present_mapping_torus(f)
+        for j, rel in enumerate(p.relators, start=1):
+            # [alpha, gamma] f(alpha) alpha^-1
+            assert rel.letters == naive_apply(
+                ident, (j, gamma, -j, -gamma) + images[j - 1].letters + (-j,))
+        assert p.text().splitlines()[-1] == (
+            "rel: b63 gamma b63' gamma' b63 a63 b63'")
