@@ -133,7 +133,8 @@ def _join(out: bytearray, seq: bytes, inv: bytes) -> None:
     inverse, inv[n-L:], so the cancelled length is the length of the
     common suffix of out and inv.  Read as big-endian integers of equal
     length, two byte strings agree in their last L bytes exactly when
-    their XOR ends in L zero bytes: one comparison, done in C.
+    their XOR ends in L zero bytes, so L takes a few C calls and no Python
+    loop over letters.
     """
     m, n = len(out), len(seq)
     if not m or not n or out[-1] != inv[-1]:

@@ -441,8 +441,8 @@ class TestByteKernel:
 
     @staticmethod
     def reduced(rank, max_size):
-        """Reduced words of random letters, their length drawn uniformly
-        (a plain list strategy mostly draws short lists)."""
+        """Reduced words of random letters, the length drawn first (a
+        plain list strategy mostly draws short lists)."""
         letter = st.integers(-rank, rank).filter(bool)
         return st.integers(0, max_size).flatmap(
             lambda n: st.lists(letter, min_size=n, max_size=n)).map(reduce)
