@@ -14,7 +14,7 @@ coordinates.  Key facts wired into this module:
     tau(b_i), slot of b_i carries -tau(a_i));
   - two level-k classes induce bordant structures exactly when they
     differ by an element of level 2k-1, so that test reduces to a depth
-    computation on f h^-1.
+    computation on the words f(alpha_i) h(alpha_i)^-1.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotInJk
-from .freegroup import (MappingClass, Word, _trusted, compose, displacements,
-                        letter_name)
+from .errors import GenusMismatch, NotInJk
+from .freegroup import (MappingClass, Word, displacements, invert, letter_name,
+                        multiply)
 from .freelie import H1LieTensor, LieElement, bracket_map
 from .magnus import DEFAULT_DEPTH, TruncatedSeries, magnus_expand
 
@@ -143,21 +143,24 @@ def bordant(f: MappingClass, h: MappingClass, k: int) -> bool:
     """Whether the level-k structures attached to f and h are bordant,
     i.e. f h^-1 sits at level 2k-1.
 
-    Both inputs must certify level k, and h must carry inverse images.
+    Level m is the kernel of Aut(F) -> Aut(F/F_m), so f h^-1 sits there
+    exactly when every f(alpha_j) h(alpha_j)^-1 is in F_m: only images are
+    read, and neither class needs inverse images.  Both inputs must
+    certify level k and have the same genus.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     # raises NotInJk unless both are at level k; degrees below k decide it
     for g in (f, h):
         _level_series(g, k, k - 1)
+    if f.genus != h.genus:
+        raise GenusMismatch(f"genus mismatch: {f.genus} vs {h.genus}")
     rank = 2 * f.genus
-    # h^-1 without inverse images, so compose builds the images of f h^-1
-    # only: nothing reads the inverse images of the difference
-    diff = compose(f, _trusted(h.genus, h.inverse().images))
     # membership at level 2k-1 needs no surviving term below degree 2k-1;
     # the check stops at the first generator that moves
-    return all(_until_moves(w, rank, 2 * k - 2).min_positive_degree() is None
-               for w in displacements(diff))
+    return all(_until_moves(multiply(u, invert(v)), rank,
+                            2 * k - 2).min_positive_degree() is None
+               for u, v in zip(f.images, h.images))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ Forms with Arf invariant 0 index the Birman-Craggs homomorphisms; each is
 evaluated on a Torelli word letterwise from its generator descriptor and
 summed in Z2.  Over all forms at once, q(v) is affine in the basis values,
 so every Birman-Craggs bit of a word is one Boolean polynomial of degree at
-most 3 in them (Johnson, Trans. AMS 1980): :func:`rho_bits` evaluates it on
-truth tables, one bit per form.
+most 3 in them (Johnson, Trans. AMS 1980), evaluated on truth tables: one
+bit per form in :func:`rho_bits`, one form's values in :func:`rho`.
 """
 
 from __future__ import annotations
@@ -36,16 +36,6 @@ def basis_vector(genus: int, index: int) -> H1Vector:
     return tuple(1 if j == index - 1 else 0 for j in range(n))
 
 
-def intersect(u: H1Vector, v: H1Vector) -> int:
-    """Mod-2 intersection pairing; x_i.y_i = 1 and all else vanishes."""
-    if len(u) != len(v):
-        raise GenusMismatch("H1 vectors of different rank")
-    total = 0
-    for k in range(0, len(u), 2):
-        total += u[k] * v[k + 1] + u[k + 1] * v[k]
-    return total % 2
-
-
 @dataclass(frozen=True, slots=True)
 class QuadForm:
     """A Z2 quadratic form, determined by its 2g basis values."""
@@ -63,21 +53,6 @@ class QuadForm:
         return len(self.basis_values) // 2
 
 
-def q_eval(q: QuadForm, v: H1Vector) -> int:
-    """Value of q on v via polarization.
-
-    Writing v as a sum of distinct basis vectors, the cross terms
-    pair up only within a handle, so they count handles where both
-    bits of v are set.
-    """
-    if len(v) != len(q.basis_values):
-        raise GenusMismatch("vector rank does not match the form")
-    total = sum(b for b, bit in zip(q.basis_values, v) if bit)
-    for k in range(0, len(v), 2):
-        total += v[k] * v[k + 1]
-    return total % 2
-
-
 def arf(q: QuadForm) -> int:
     """Arf invariant: sum of q(x_i) q(y_i) over the handles."""
     vals = q.basis_values
@@ -86,13 +61,21 @@ def arf(q: QuadForm) -> int:
 
 def _require_symplectic(pairs: Sequence[tuple[H1Vector, H1Vector]]):
     """Pairs must form part of a symplectic basis: x_i.y_j = delta_ij,
-    x_i.x_j = y_i.y_j = 0."""
-    for i, (xi, yi) in enumerate(pairs):
-        for j, (xj, yj) in enumerate(pairs):
-            if intersect(xi, yj) != (1 if i == j else 0):
+    x_i.x_j = y_i.y_j = 0.
+
+    Each vector is packed once as an int, coordinate k at bit k.  With the
+    two bits of each handle swapped in one factor, u.v is the parity of
+    ``u & swap(v)``.
+    """
+    even = int("01" * (len(pairs[0][0]) // 2), 2) if pairs else 0
+    packed = [[int("".join(map(str, v[::-1])), 2) for v in p] for p in pairs]
+    swapped = [[(u & even) << 1 | (u >> 1) & even for u in p] for p in packed]
+    for i, (xi, yi) in enumerate(packed):
+        for j, (xj, yj) in enumerate(swapped):
+            if (xi & yj).bit_count() & 1 != (1 if i == j else 0):
                 raise ValidationFailure(
                     f"pair list not symplectic: x_{i + 1}.y_{j + 1} wrong")
-            if intersect(xi, xj) != 0 or intersect(yi, yj) != 0:
+            if (xi & xj).bit_count() & 1 or (yi & yj).bit_count() & 1:
                 raise ValidationFailure(
                     f"pair list not symplectic: pairs {i + 1},{j + 1} interact")
 
@@ -251,24 +234,43 @@ def validate_descriptor(d: TorelliGenDescriptor) -> None:
 TorelliWord = Sequence[tuple[TorelliGenDescriptor, int]]
 
 
-def rho(q: QuadForm, word: TorelliWord) -> int:
-    """Birman-Craggs homomorphism for the form q, evaluated letterwise.
+def _bc_sum(word: TorelliWord, basis: Sequence[int], ones: int) -> int:
+    """The Birman-Craggs rule summed over the word, as a truth table.
 
-    Rule for a bscc twist: Arf of q restricted to the bounded subsurface.
-    Rule for a bp map: 0 when q is 1 on the pair's class, otherwise the
-    restricted Arf of the cobounded genus-1 piece.  Exponents are
-    irrelevant in Z2.  A descriptor's pairs were checked symplectic when it
-    was built, so the restricted Arf is summed directly.  This evaluates
-    at one form; :func:`rho_bits` gives every Arf-0 form at once.
+    ``basis`` holds the tables of q(x_1), q(y_1), ..., and ``ones`` that of
+    the constant 1; XOR adds and AND multiplies.  q(v) is the XOR of the
+    basis tables v picks, complemented when v has an odd number of handles
+    with both bits set.  A bscc letter adds q(x) q(y) over its pairs (Arf
+    of q on the bounded subsurface); a bp letter adds the same masked by
+    1 + q(c).  Exponents are irrelevant in Z2.
     """
-    if arf(q) != 0:
-        raise ArfNonZero("Birman-Craggs homomorphisms exist only for Arf-0 forms")
+    def value(v: H1Vector) -> int:
+        table = 0
+        for bit, b in zip(v, basis):
+            if bit:
+                table ^= b
+        if sum(v[k] & v[k + 1] for k in range(0, len(v), 2)) % 2:
+            table ^= ones
+        return table
+
     total = 0
     for desc, _exp in word:
-        if desc.kind == "bp" and q_eval(q, desc.curve_class) == 1:
-            continue
-        total += sum(q_eval(q, x) * q_eval(q, y) for x, y in desc.pairs)
-    return total % 2
+        table = 0
+        for x, y in desc.pairs:
+            table ^= value(x) & value(y)
+        if desc.kind == "bp":
+            table &= ones ^ value(desc.curve_class)
+        total ^= table
+    return total
+
+
+def rho(q: QuadForm, word: TorelliWord) -> int:
+    """Birman-Craggs homomorphism for the Arf-0 form q: :func:`_bc_sum`
+    on one-bit tables, the values of q, so at any genus."""
+    if arf(q) != 0:
+        raise ArfNonZero("Birman-Craggs homomorphisms exist only for Arf-0 forms")
+    word_genus(word, q.genus)
+    return _bc_sum(word, q.basis_values, 1)
 
 
 def rho_bits(word: TorelliWord, genus: Optional[int] = None) -> str:
@@ -277,11 +279,8 @@ def rho_bits(word: TorelliWord, genus: Optional[int] = None) -> str:
 
     No form is visited: each function of the basis values is a truth table,
     a 4^g-bit integer whose bit i is its value at the form of enumeration
-    index i, so XOR adds and AND multiplies.  q(v) is the XOR of the basis
-    tables picked by v, complemented when v has an odd number of handles
-    with both bits set.  A bscc letter adds the XOR of q(x) q(y) over its
-    pairs, a bp letter the same masked by 1 + q(c).  Supported through
-    genus 8, like :func:`enumerate_forms`.
+    index i, and :func:`_bc_sum` runs the rule on these tables.  Supported
+    through genus 8, like :func:`enumerate_forms`.
     """
     g = word_genus(word, genus)
     _check_form_genus(g)
@@ -294,24 +293,7 @@ def rho_bits(word: TorelliWord, genus: Optional[int] = None) -> str:
     for k in range(1, n + 1):
         run = 1 << (n - k)
         basis.append((((1 << run) - 1) << run) * (ones // ((1 << 2 * run) - 1)))
-
-    def value(v: H1Vector) -> int:
-        table = 0
-        for bit, b in zip(v, basis):
-            if bit:
-                table ^= b
-        if sum(v[k] & v[k + 1] for k in range(0, n, 2)) % 2:
-            table ^= ones
-        return table
-
-    total = 0
-    for desc, _exp in word:
-        table = 0
-        for x, y in desc.pairs:
-            table ^= value(x) & value(y)
-        if desc.kind == "bp":
-            table &= ~value(desc.curve_class)
-        total ^= table
+    total = _bc_sum(word, basis, ones)
     arf_table = 0
     for k in range(0, n, 2):
         arf_table ^= basis[k] & basis[k + 1]

@@ -3,7 +3,7 @@
 import itertools
 from functools import lru_cache
 
-from torelli.errors import NotInJk
+from torelli.errors import ArfNonZero, GenusMismatch, NotInJk
 from torelli.freegroup import (MappingClass, Word, commutator, compose,
                                letter_name, multiply, reduce)
 from torelli.freelie import H1LieTensor, LieElement
@@ -157,6 +157,59 @@ def fox_coefficient(w: Word, mono) -> int:
         if not element:
             return 0
     return augmentation(element)
+
+
+def intersect(u, v) -> int:
+    """Mod-2 intersection pairing of tuple vectors; x_i.y_i = 1 and all
+    else vanishes."""
+    if len(u) != len(v):
+        raise GenusMismatch("H1 vectors of different rank")
+    total = 0
+    for k in range(0, len(u), 2):
+        total += u[k] * v[k + 1] + u[k + 1] * v[k]
+    return total % 2
+
+
+def symplectic_failure(pairs):
+    """The message the descriptor check gives for a pair list, by the tuple
+    pairing, or None when the pairs are part of a symplectic basis."""
+    for i, (xi, yi) in enumerate(pairs):
+        for j, (xj, yj) in enumerate(pairs):
+            if intersect(xi, yj) != (1 if i == j else 0):
+                return f"pair list not symplectic: x_{i + 1}.y_{j + 1} wrong"
+            if intersect(xi, xj) != 0 or intersect(yi, yj) != 0:
+                return f"pair list not symplectic: pairs {i + 1},{j + 1} interact"
+    return None
+
+
+def q_eval(q: QuadForm, v) -> int:
+    """Value of q on v via polarization.
+
+    Writing v as a sum of distinct basis vectors, the cross terms
+    pair up only within a handle, so they count handles where both
+    bits of v are set.
+    """
+    if len(v) != len(q.basis_values):
+        raise GenusMismatch("vector rank does not match the form")
+    total = sum(b for b, bit in zip(q.basis_values, v) if bit)
+    for k in range(0, len(v), 2):
+        total += v[k] * v[k + 1]
+    return total % 2
+
+
+def naive_rho(q: QuadForm, word) -> int:
+    """Birman-Craggs homomorphism for the form q, letter by letter through
+    :func:`q_eval`: a bscc twist adds the Arf invariant of q on the bounded
+    subsurface, a bp map adds nothing when q is 1 on the pair's class and
+    otherwise the Arf invariant on the cobounded genus-1 piece."""
+    if arf(q) != 0:
+        raise ArfNonZero("Birman-Craggs homomorphisms exist only for Arf-0 forms")
+    total = 0
+    for desc, _exp in word:
+        if desc.kind == "bp" and q_eval(q, desc.curve_class) == 1:
+            continue
+        total += sum(q_eval(q, x) * q_eval(q, y) for x, y in desc.pairs)
+    return total % 2
 
 
 def product_forms(genus, arf_filter=None):

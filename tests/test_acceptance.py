@@ -31,9 +31,10 @@ from torelli.johnson import (
 from torelli.magnus import magnus_expand
 from torelli.mcglib import boundary_twist, builtin_entries
 from torelli.present import eta_block_ranks, present_filled
-from torelli.spinquad import QuadForm, arf, enumerate_forms, eta2, q_eval
+from torelli.spinquad import QuadForm, arf, enumerate_forms, eta2
 
-from helpers import augmentation, dynkin_map, flatten_series, fox_derivative
+from helpers import (augmentation, dynkin_map, flatten_series, fox_derivative,
+                     intersect, q_eval)
 
 # ---------------------------------------------------------------------------
 # shared sweep: all words of length <= 3 over the genus-2 library
@@ -77,7 +78,6 @@ def test_criterion_01_form_counts():
 
 
 def _random_symplectic(genus, rng, steps=12):
-    from torelli.spinquad import intersect
     n = 2 * genus
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):

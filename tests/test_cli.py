@@ -134,6 +134,24 @@ class TestBordant:
         assert code == 1
         assert "error: NOT_IN_JK" in out
 
+    def test_with_map_without_inverse_block(self, capsys, files, tmp_path):
+        # bordant reads images only, so --with needs no inverse block
+        bare = tmp_path / "id_bare.map"
+        bare.write_text(serialize_map_file(
+            MappingClass(1, identity_class(1).images)))
+        assert "inverse" not in bare.read_text()
+        for k, answer in ((2, "true"), (3, "false")):
+            code, out, _ = run(capsys, ["bordant", "-i", files["bdry1"],
+                                        "--with", str(bare), "-k", str(k)])
+            assert (code, out) == (0, f"bordant k={k}: {answer}\n")
+
+    def test_with_map_of_another_genus(self, capsys, files, tmp_path):
+        other = tmp_path / "bp_g3.map"
+        other.write_text(serialize_map_file(builtin_entries(3)["BP:std"].action))
+        code, out, _ = run(capsys, ["bordant", "-i", files["bp"],
+                                    "--with", str(other), "-k", "2"])
+        assert (code, out) == (1, "error: GENUS_MISMATCH\n")
+
 
 class TestMoritaCheck:
     def test_contained(self, capsys, files):

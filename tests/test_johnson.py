@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torelli.errors import MissingInverse, NotInJk, ValidationFailure
+from torelli.errors import GenusMismatch, NotInJk, ValidationFailure
 from torelli.freegroup import (
     MappingClass,
     Word,
@@ -261,10 +261,20 @@ class TestBordant:
             bordant(identity_class(1), humphries_alpha(), 2)
 
     def test_missing_inverse(self):
+        # bordant reads images only, so h needs no inverse images
         f = boundary_twist(1)
-        h = MappingClass(1, f.images)  # no inverse images
-        with pytest.raises(MissingInverse):
-            bordant(f, h, 2)
+        e = identity_class(1)
+        for g in (f, e):
+            h = MappingClass(1, g.images)  # no inverse images
+            for k in (2, 3):
+                assert bordant(f, h, k) == bordant(f, g, k)
+                assert bordant(h, f, k) == bordant(g, f, k)
+
+    def test_genus_mismatch(self):
+        g2, g3 = (builtin_entries(g)["BP:std"].action for g in (2, 3))
+        for f, h in ((g2, g3), (g3, g2)):
+            with pytest.raises(GenusMismatch, match="genus mismatch: "):
+                bordant(f, h, 2)
 
 
 class TestTower:
@@ -434,4 +444,8 @@ class TestAgainstFullCutoff:
         k = data.draw(st.integers(1, 4))
         f = data.draw(classes(genus))
         h = data.draw(classes(genus, torelli=True))
-        assert outcome(bordant, f, h, k) == full_bordant(f, h, k)
+        expected = full_bordant(f, h, k)
+        assert outcome(bordant, f, h, k) == expected
+        # the same answer from h without its inverse images
+        bare = MappingClass(h.genus, h.images)
+        assert outcome(bordant, f, bare, k) == expected

@@ -21,15 +21,14 @@ from torelli.spinquad import (
     enumerate_forms,
     eta2,
     form_literal,
-    intersect,
     parse_form_literal,
-    q_eval,
     rho,
     rho_bits,
     validate_descriptor,
 )
 
-from helpers import handle_twists, product_forms
+from helpers import (handle_twists, intersect, naive_rho, product_forms,
+                     q_eval, symplectic_failure)
 
 bits_st = st.lists(st.sampled_from([0, 1]), min_size=4, max_size=4).map(tuple)
 
@@ -379,9 +378,12 @@ class TestRhoBits:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_matches_rho_per_form(self, genus, data):
+        # the letterwise rule of tests/helpers.py, form by form
         word = data.draw(rho_words(genus))
-        assert rho_bits(word, genus) == "".join(
-            str(rho(q, word)) for q in enumerate_forms(genus, 0))
+        forms = enumerate_forms(genus, 0)
+        expected = "".join(str(naive_rho(q, word)) for q in forms)
+        assert rho_bits(word, genus) == expected
+        assert "".join(str(rho(q, word)) for q in forms) == expected
 
     def test_empty_word(self):
         assert rho_bits([], 3) == "0" * 36
@@ -393,6 +395,55 @@ class TestRhoBits:
         word = [(pairs_descriptor(9, []), 1)]
         with pytest.raises(GenusMismatch, match="genus must be in 1..8"):
             rho_bits(word)
+
+
+class TestRhoAboveFormGenus:
+    """rho evaluates one form, so it takes no genus cap: above
+    MAX_FORM_GENUS it still matches the letterwise rule."""
+
+    @pytest.mark.parametrize("genus", [9, 10])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_naive_rho(self, genus, data):
+        word = data.draw(rho_words(genus))
+        q = data.draw(st.lists(st.sampled_from([0, 1]), min_size=2 * genus,
+                               max_size=2 * genus).map(lambda b: QuadForm(tuple(b)))
+                      .filter(lambda q: arf(q) == 0))
+        assert rho(q, word) == naive_rho(q, word)
+
+    def test_form_and_word_genus_must_agree(self):
+        with pytest.raises(GenusMismatch, match="word is at genus 9, asked for 2"):
+            rho(form(0, 0, 0, 0), [(pairs_descriptor(9, []), 1)])
+
+
+class TestPackedSymplecticCheck:
+    """The descriptor check on packed ints gives the verdict and message of
+    the tuple pairing, on symplectic pair lists and perturbed ones."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_tuple_pairing(self, data):
+        genus = data.draw(st.integers(1, 5))
+        basis = random_symplectic(genus, random.Random(data.draw(st.integers(0, 2 ** 16))))
+        pairs = [[basis[2 * i], basis[2 * i + 1]]
+                 for i in data.draw(st.permutations(range(genus)))]
+        pairs = pairs[:data.draw(st.integers(1, genus))]
+        for _ in range(data.draw(st.integers(0, 2))):
+            # flip one coordinate of one vector
+            i = data.draw(st.integers(0, len(pairs) - 1))
+            side = data.draw(st.integers(0, 1))
+            k = data.draw(st.integers(0, 2 * genus - 1))
+            v = list(pairs[i][side])
+            v[k] ^= 1
+            pairs[i][side] = tuple(v)
+        pairs = [tuple(p) for p in pairs]
+        expected = symplectic_failure(pairs)
+        if expected is None:
+            pairs_descriptor(genus, pairs)
+        else:
+            with pytest.raises(ValidationFailure) as exc:
+                pairs_descriptor(genus, pairs)
+            assert str(exc.value) == expected
 
 
 @functools.lru_cache(maxsize=None)
