@@ -69,7 +69,8 @@ class ValidationFailure(TorelliError):
 
 
 class TooLarge(TorelliError):
-    """A listing larger than the stated budget, refused before it is built."""
+    """A listing or an input word larger than the stated budget, refused
+    before it is built."""
 
     code = "TOO_LARGE"
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import (GenusMismatch, MissingInverse, NotReduced, ParseError,
-                     ValidationFailure)
+                     TooLarge, ValidationFailure)
 
 # A letter x is stored as the byte x & 0xFF and read back signed by
 # array("b"), so |x| <= 127: the 2g surface generators and the
@@ -197,42 +197,128 @@ def format_word(w: Word, genus: Optional[int] = None) -> str:
     return " ".join(letter_name(x, genus) for x in w.letters)
 
 
-def parse_word(text: str, genus: int, aliases: Optional[dict[str, Word]] = None,
-               line: Optional[int] = None) -> Word:
-    """Parse token syntax into a reduced word.
+# A .map file may spell at most this many letters over its aliases and
+# images, counted before free reduction: an alias doubled 40 times would
+# spell 2^41 letters.  The benchmark's .map files spell at most 3,526, and
+# a depth-5 commutator class of genus 2 with its inverse block 30,132.
+MAX_LETTERS = 1_000_000
+
+_TOKENS: dict[int, dict[str, bytes]] = {}
+
+
+def _token_table(genus: int) -> dict[str, bytes]:
+    """The encoded letters of each token ``a<i>``, ``b<i>`` (i <= genus),
+    their primed forms, and ``1`` (the empty word).  Built on first use
+    and shared, so callers copy it before adding to it."""
+    table = _TOKENS.get(genus)
+    if table is None:
+        table = {"1": b""}
+        for i in range(1, genus + 1):
+            for name, j in ((f"a{i}", 2 * i - 1), (f"b{i}", 2 * i)):
+                table[name] = bytes((j,))
+                table[name + "'"] = bytes((-j & 0xFF,))
+        _TOKENS[genus] = table
+    return table
+
+
+class WordReader:
+    """Reads the token lines of one input at one genus.
 
     Tokens are ``a<i>``/``b<i>``, a trailing apostrophe inverts, ``1`` is
-    the identity, and names bound by the caller's alias table splice in
-    (inverted under the apostrophe).
+    the identity, and names bound with :meth:`bind` splice in (inverted
+    under the apostrophe).  Every token spelled the usual way is one key
+    of ``table``, so a line is the join of its lookups.  The reader counts
+    the letters its lines spell and refuses more than :data:`MAX_LETTERS`.
     """
-    letters: list[int] = []
-    col = 0
-    for raw in text.split():
-        col = text.index(raw, col)
-        tok, inv = raw, False
-        if tok.endswith("'"):
-            tok, inv = tok[:-1], True
-        if tok == "1":
-            if inv:
-                raise ParseError("1 takes no inverse mark", line, col + 1)
+
+    __slots__ = ("genus", "table", "letters")
+
+    def __init__(self, genus: int):
+        self.genus = genus
+        self.table = dict(_token_table(max(0, min(genus, MAX_GENUS))))
+        self.letters = 0
+
+    def bind(self, name: str, w: Word) -> None:
+        """Bind an alias; it shadows a generator of the same name.
+
+        A token is read as a name with at most one apostrophe stripped, so
+        alias N is read from the tokens N' and, unless N ends in an
+        apostrophe itself, N.  ``1`` always reads as the identity."""
+        if name == "1":
+            return
+        if not name.endswith("'"):
+            self.table[name] = w.data
+        self.table[name + "'"] = w.data[::-1].translate(NEG)
+
+    def read(self, text: str, line: Optional[int] = None) -> Word:
+        """Parse one line of tokens into a reduced word.
+
+        An adjacent inverse pair shows as a zero byte in the XOR of
+        ``data[1:]`` and the inverses of ``data[:-1]``; only then does
+        :func:`reduce` walk the letters.
+        """
+        table = self.table
+        try:
+            parts = [table[tok] for tok in text.split()]
+        except KeyError:
+            parts = self._spelled(text, line)
+        self.letters += sum(map(len, parts))
+        if self.letters > MAX_LETTERS:
+            loc = "" if line is None else f"line {line}: "
+            raise TooLarge(f"{loc}input spells more than {MAX_LETTERS} letters")
+        data = b"".join(parts)
+        n = len(data) - 1
+        if n > 0 and 0 in (int.from_bytes(data[1:], "big")
+                           ^ int.from_bytes(data[:-1].translate(NEG), "big")
+                           ).to_bytes(n, "big"):
+            return reduce(array("b", data))
+        return _word(data)
+
+    def _spelled(self, text: str, line: Optional[int]) -> list[bytes]:
+        """Token by token, for a line with a token outside the table: a
+        generator spelled another way (``a01``), or an error, reported at
+        the token's column."""
+        parts = []
+        col = 0
+        for raw in text.split():
+            col = text.index(raw, col)
+            seq = self.table.get(raw)
+            if seq is None:
+                seq = _encode((_generator(raw, self.genus, line, col + 1),))
+            parts.append(seq)
             col += len(raw)
-            continue
-        if aliases and tok in aliases:
-            sub = invert(aliases[tok]) if inv else aliases[tok]
-            letters.extend(sub.letters)
-            col += len(raw)
-            continue
-        kind = tok[:1]
-        if kind not in ("a", "b") or not tok[1:].isdigit():
-            raise ParseError(f"unknown token {raw!r}", line, col + 1)
-        i = int(tok[1:])
-        if not 1 <= i <= genus:
-            raise ParseError(f"generator {tok!r} out of range for genus {genus}",
-                             line, col + 1)
-        j = 2 * i - 1 if kind == "a" else 2 * i
-        letters.append(-j if inv else j)
-        col += len(raw)
-    return reduce(letters)
+        return parts
+
+
+def _generator(raw: str, genus: int, line: Optional[int], col: int) -> int:
+    """The letter of a generator token, or the ParseError it raises."""
+    tok, inv = raw, False
+    if tok.endswith("'"):
+        tok, inv = tok[:-1], True
+    if tok == "1":
+        raise ParseError("1 takes no inverse mark", line, col)
+    kind, digits = tok[:1], tok[1:]
+    if kind not in ("a", "b") or not digits.isdecimal():
+        raise ParseError(f"unknown token {raw!r}", line, col)
+    try:
+        i = int(digits)
+    except ValueError:  # more digits than int() converts: out of range
+        i = 0
+    if not 1 <= i <= genus:
+        raise ParseError(f"generator {tok!r} out of range for genus {genus}",
+                         line, col)
+    j = 2 * i - 1 if kind == "a" else 2 * i
+    return -j if inv else j
+
+
+def parse_word(text: str, genus: int, aliases: Optional[dict[str, Word]] = None,
+               line: Optional[int] = None) -> Word:
+    """Parse token syntax into a reduced word, as :meth:`WordReader.read`
+    does with ``aliases`` bound."""
+    reader = WordReader(genus)
+    for name, w in (aliases or {}).items():
+        reader.bind(name, w)
+    return reader.read(text, line)
 
 
 # ---------------------------------------------------------------------------

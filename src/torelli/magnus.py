@@ -72,26 +72,37 @@ def magnus_expand(w: Word, rank: int, cutoff: int = DEFAULT_DEPTH) -> TruncatedS
     letter by letter.  For a_j add S_{d-1} t_j into S_d, from the top
     degree down; for a_j^-1 solve R (1 + t_j) = S as R_d = S_d - R_{d-1} t_j,
     from degree 1 up.  A coefficient is deleted the moment it reaches 0.
+
+    Inside a bucket the monomial (j_1, ..., j_d) is keyed by the integer
+    with base-``rank`` digits j_1 - 1, ..., j_d - 1, so appending t_j is
+    ``key * rank + j - 1``; the keys become tuples once, at the end.
     """
     if w.max_index() > rank:
         raise GenusMismatch(
             f"word uses generator index {w.max_index()} beyond rank {rank}")
-    buckets: list[Bucket] = [{(): 1}] + [{} for _ in range(cutoff)]
-    for x in w.letters:
-        if x > 0:
-            tail, sign, degrees = (x,), 1, range(cutoff, 0, -1)
+    buckets: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(cutoff)]
+    up, down = range(1, cutoff + 1), range(cutoff, 0, -1)
+    for b in w.data:
+        if b < 0x80:
+            digit, sign, degrees = b - 1, 1, down
         else:
-            tail, sign, degrees = (-x,), -1, range(1, cutoff + 1)
+            digit, sign, degrees = 255 - b, -1, up
         for d in degrees:
             src = buckets[d - 1]
             if not src:
                 continue
             tgt = buckets[d]
             for m, c in src.items():
-                key = m + tail
+                key = m * rank + digit
                 v = tgt.get(key, 0) + sign * c
                 if v:
                     tgt[key] = v
                 else:
                     del tgt[key]
-    return TruncatedSeries(rank, cutoff, dict(enumerate(buckets)))
+    terms: dict[int, Bucket] = {0: {(): 1}}
+    for d in range(1, cutoff + 1):
+        keys = list(buckets[d])
+        digits = [[k // p % rank + 1 for k in keys]
+                  for p in [rank ** e for e in range(d - 1, -1, -1)]]
+        terms[d] = dict(zip(zip(*digits), buckets[d].values()))
+    return TruncatedSeries(rank, cutoff, terms)

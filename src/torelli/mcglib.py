@@ -14,10 +14,11 @@ import io
 from typing import Callable
 
 from .errors import GenusMismatch, ParseError, ValidationFailure
-from .freegroup import (MappingClass, Word, _trusted, check_genus, conjugate,
-                        format_word, invert, letter_name, parse_word, reduce)
+from .freegroup import (MappingClass, Word, WordReader, _trusted, check_genus,
+                        conjugate, format_word, invert, letter_name,
+                        parse_word, reduce)
 from .spinquad import (H1Vector, TorelliGenDescriptor, TorelliWord,
-                       basis_vector)
+                       _trusted_descriptor, basis_vector)
 
 
 def _run_curve(start: int, end: int) -> Word:
@@ -56,17 +57,15 @@ def bscc_twist(genus: int, h: int) -> TorelliGenDescriptor:
     if not 1 <= h < genus:
         raise GenusMismatch(
             f"subsurface genus must satisfy 1 <= h < g, got h={h}, g={genus}")
-    return TorelliGenDescriptor(name=f"BSCC:{h}", kind="bscc",
-                                action=_run_twist(genus, 1, h),
-                                pairs=_handle_pairs(genus, h))
+    return _trusted_descriptor(f"BSCC:{h}", "bscc", _run_twist(genus, 1, h),
+                               _handle_pairs(genus, h))
 
 
 def boundary_twist(genus: int) -> TorelliGenDescriptor:
     """Twist about a curve parallel to the boundary: conjugation by zeta."""
     check_genus(genus)
-    return TorelliGenDescriptor(name="BDRY", kind="bscc",
-                                action=_run_twist(genus, 1, genus),
-                                pairs=_handle_pairs(genus, genus))
+    return _trusted_descriptor("BDRY", "bscc", _run_twist(genus, 1, genus),
+                               _handle_pairs(genus, genus))
 
 
 # Bounding-pair word table, genus 2 block.  z is the curve word of the
@@ -101,9 +100,8 @@ def bp_map(genus: int, layout: str = "std") -> TorelliGenDescriptor:
         raise GenusMismatch(f"bounding pairs need genus >= 2, got {genus}")
     if layout != "std":
         raise ParseError(f"unknown bounding-pair layout {layout!r}")
-    return TorelliGenDescriptor(
-        name="BP:std", kind="bp", action=_bp_std_action(genus),
-        curve_class=basis_vector(genus, 3), pairs=_handle_pairs(genus, 1))
+    return _trusted_descriptor("BP:std", "bp", _bp_std_action(genus),
+                               _handle_pairs(genus, 1), basis_vector(genus, 3))
 
 
 def _builtin_names(genus: int) -> list[str]:
@@ -155,7 +153,7 @@ def _parse_genus_line(lines) -> int:
     return g
 
 
-def _parse_image_lines(lines, genus: int, aliases, header_ln: int):
+def _parse_image_lines(lines, genus: int, reader: WordReader, header_ln: int):
     """2g lines `<gen> -> <tokens>`, each generator exactly once."""
     images: dict[int, Word] = {}
     last_ln = header_ln
@@ -176,7 +174,7 @@ def _parse_image_lines(lines, genus: int, aliases, header_ln: int):
         j = target.letters[0]
         if j in images:
             raise ParseError(f"duplicate image for {letter_name(j)}", ln)
-        images[j] = parse_word(rhs.strip(), genus, aliases, line=ln)
+        images[j] = reader.read(rhs.strip(), ln)
     return tuple(images[j] for j in range(1, 2 * genus + 1)), last_ln
 
 
@@ -185,11 +183,14 @@ def parse_map_file(text: str) -> MappingClass:
 
     Layout: a genus line, optional `let <name> = <tokens>` aliases, a
     `map` header with 2g image lines, and an optional `inverse` header
-    with 2g more.  Aliases may reference earlier aliases.
+    with 2g more.  Aliases may reference earlier aliases.  The file may
+    spell at most MAX_LETTERS letters over its aliases and images
+    (TooLarge).
     """
     lines = _meaningful_lines(text)
     genus = _parse_genus_line(lines)
-    aliases: dict[str, Word] = {}
+    reader = WordReader(genus)
+    aliases: set[str] = set()
     ln, body = 0, None
     for ln, body in lines:
         if body == "map":
@@ -201,17 +202,18 @@ def parse_map_file(text: str) -> MappingClass:
         name = head[1]
         if name in aliases:
             raise ParseError(f"alias {name!r} redefined", ln)
-        aliases[name] = parse_word(parts[1].strip(), genus, aliases, line=ln)
+        aliases.add(name)
+        reader.bind(name, reader.read(parts[1].strip(), ln))
     else:
         raise ParseError("missing `map` header", ln if body else 1)
-    images, last_ln = _parse_image_lines(lines, genus, aliases, ln)
+    images, last_ln = _parse_image_lines(lines, genus, reader, ln)
     inverse_images = None
     tail = next(lines, None)
     if tail is not None:
         ln, body = tail
         if body != "inverse":
             raise ParseError("expected `inverse` or end of file", ln)
-        inverse_images, last_ln = _parse_image_lines(lines, genus, aliases, ln)
+        inverse_images, last_ln = _parse_image_lines(lines, genus, reader, ln)
         tail = next(lines, None)
         if tail is not None:
             raise ParseError("unexpected content after the inverse block", tail[0])

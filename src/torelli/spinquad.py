@@ -192,7 +192,8 @@ class TorelliGenDescriptor:
     the genus-1 cobounded subsurface.  ``action`` is the free-group action
     used for the tau side of eta2; ``action_path`` is the `.map` file a
     `.tor` file read it from.  Building a descriptor runs
-    :func:`validate_descriptor`, so one in hand has symplectic pairs.
+    :func:`validate_descriptor`, so one in hand has symplectic pairs; the
+    built-ins, valid by construction, come from :func:`_trusted_descriptor`.
     """
 
     name: str
@@ -210,6 +211,23 @@ class TorelliGenDescriptor:
         if self.kind == "bscc" and self.curve_class is not None:
             raise ValidationFailure("bscc descriptor carries no curve class")
         validate_descriptor(self)
+
+
+def _trusted_descriptor(name: str, kind: str, action: MappingClass,
+                        pairs: tuple[tuple[H1Vector, H1Vector], ...],
+                        curve_class: Optional[H1Vector] = None
+                        ) -> TorelliGenDescriptor:
+    """Build a descriptor without :func:`validate_descriptor`.
+
+    Only for the built-in library, whose handle pairs are symplectic and
+    whose actions fix H1 by construction (the library tests validate every
+    built-in through genus 8, and three at genus 63)."""
+    d = object.__new__(TorelliGenDescriptor)
+    for field, value in (("name", name), ("kind", kind), ("action", action),
+                         ("pairs", pairs), ("curve_class", curve_class),
+                         ("action_path", None)):
+        object.__setattr__(d, field, value)
+    return d
 
 
 def validate_descriptor(d: TorelliGenDescriptor) -> None:

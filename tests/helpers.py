@@ -1,9 +1,10 @@
 """Independent slow-path oracles used to pin down the fast implementations."""
 
 import itertools
+import re
 from functools import lru_cache
 
-from torelli.errors import ArfNonZero, GenusMismatch, NotInJk
+from torelli.errors import ArfNonZero, GenusMismatch, NotInJk, ParseError
 from torelli.freegroup import (MappingClass, Word, commutator, compose,
                                letter_name, multiply, reduce)
 from torelli.freelie import H1LieTensor, LieElement
@@ -33,6 +34,49 @@ def naive_apply(images, letters) -> tuple:
             stack.pop()
         else:
             stack.append(y)
+    return tuple(stack)
+
+
+_TOKEN = re.compile(r"\S+")
+_GENERATOR = re.compile(r"([ab])(\d+)")
+
+
+def naive_parse_word(text, genus, aliases=None, line=None) -> tuple:
+    """Letters of a line of word tokens, or the ParseError it raises.
+
+    A regex tokenizer and a stack, sharing no code with ``freegroup``.  A
+    token is a name with at most one apostrophe (inverse) stripped; the
+    name ``1`` is the identity, then come the aliases (name -> letter
+    tuple), then ``a<i>``/``b<i>``.  Columns count from 1."""
+    aliases = aliases or {}
+    stack = []
+    for m in _TOKEN.finditer(text):
+        raw, col = m.group(), m.start() + 1
+        name = raw[:-1] if raw.endswith("'") else raw
+        sign = -1 if name != raw else 1
+        if name == "1":
+            if sign < 0:
+                raise ParseError("1 takes no inverse mark", line, col)
+            seq = []
+        elif name in aliases:
+            seq = list(aliases[name])
+            if sign < 0:
+                seq = [-x for x in reversed(seq)]
+        else:
+            g = _GENERATOR.fullmatch(name)
+            if g is None:
+                raise ParseError(f"unknown token {raw!r}", line, col)
+            i = int(g.group(2))
+            if not 1 <= i <= genus:
+                raise ParseError(
+                    f"generator {name!r} out of range for genus {genus}",
+                    line, col)
+            seq = [sign * (2 * i - (g.group(1) == "a"))]
+        for y in seq:
+            if stack and stack[-1] == -y:
+                stack.pop()
+            else:
+                stack.append(y)
     return tuple(stack)
 
 

@@ -352,6 +352,18 @@ class TestValidate:
         assert code == 1
         assert "error: VALIDATION_FAILED" in out
 
+    def test_alias_doubling_is_too_large(self, capsys, tmp_path):
+        # 40 doublings would spell 2^42 letters; line 20 (x18) passes the
+        # budget of 1,000,000
+        lines = ["genus 2", "let x0 = a1 b1"]
+        lines += [f"let x{i} = x{i - 1} x{i - 1}" for i in range(1, 41)]
+        lines += ["map"] + [f"{c}{i} -> {c}{i}" for i in (1, 2) for c in "ab"]
+        path = tmp_path / "alias.map"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["validate", "-i", str(path)])
+        assert (code, out) == (1, "error: TOO_LARGE\n")
+        assert "line 20" in err
+
 
 def main_captured(argv):
     """Exit code and stdout of one in-process run; Hypothesis tests cannot

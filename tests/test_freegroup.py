@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torelli.errors import (GenusMismatch, MissingInverse, NotReduced, ParseError,
-                            ValidationFailure)
+                            TooLarge, ValidationFailure)
 from torelli.freegroup import (
     MAX_GENUS,
+    MAX_LETTERS,
     CheckResult,
     MappingClass,
     Word,
@@ -26,13 +27,14 @@ from torelli.freegroup import (
     reduce,
     require_valid,
     validate,
+    WordReader,
     _int_det,
     _trusted,
 )
 from torelli.mcglib import builtin_entries
 from torelli.present import present_mapping_torus
 
-from helpers import handle_twists, naive_apply
+from helpers import handle_twists, naive_apply, naive_parse_word
 
 
 def rand_word(rng, genus, length):
@@ -142,6 +144,23 @@ class TestTokens:
             err = e
         assert err is not None and "line 3" in str(err) and "col 4" in str(err)
 
+    def test_parse_digits_int_cannot_read(self):
+        # a superscript two is a digit to str.isdigit but no decimal, and
+        # int() reads at most 4,300 digits: both are ParseErrors
+        with pytest.raises(ParseError, match="unknown token 'a\u00b2'"):
+            parse_word("a1 a\u00b2", genus=2)
+        with pytest.raises(ParseError, match="out of range"):
+            parse_word("a" + "9" * 5000, genus=2)
+        # other decimal digits and leading zeros read as before
+        assert parse_word("a\u0663 a01", genus=3).letters == (5, 1)
+
+    def test_letter_budget_counts_before_reduction(self):
+        reader = WordReader(1)
+        reader.letters = MAX_LETTERS - 2
+        assert reader.read("a1 a1'").letters == ()
+        with pytest.raises(TooLarge, match="line 7"):
+            reader.read("1 b1", line=7)
+
     def test_format_parse_random(self):
         rng = random.Random(23)
         for _ in range(100):
@@ -166,6 +185,93 @@ def twist_beta(genus=1):
     images[0] = Word((1, -2))
     inv[0] = Word((1, 2))
     return MappingClass(genus, tuple(images), tuple(inv))
+
+
+# Alias names: plain, primed, named like generators, and "1", which never
+# reads as an alias.
+ALIAS_NAMES = ("x", "y", "w'", "z''", "a1", "b2", "a01", "1", "1'", "c3")
+ODD_TOKENS = ("1", "1'", "q7", "a", "b-1", "a1''", "a\u00b2", "x\u00b2")
+SEPARATORS = (" ", "  ", "\t", " \u3000 ")
+
+
+def _inverse_token(tok):
+    if tok == "1":
+        return tok
+    return tok[:-1] if tok.endswith("'") else tok + "'"
+
+
+def _alias_tokens(name):
+    """The tokens that read alias ``name``: at most one apostrophe is
+    stripped, and ``1`` is never an alias."""
+    if name == "1":
+        return []
+    return [name + "'"] if name.endswith("'") else [name, name + "'"]
+
+
+@st.composite
+def token_lines(draw):
+    """(text, genus, aliases as letter tuples, line): lines of valid tokens
+    (generators, some spelled ``a01``, ``1`` and aliases) with inverse pairs
+    at the first, last and alias-boundary positions, and up to two tokens
+    that may be errors.  The number of tokens is drawn first."""
+    genus = draw(st.integers(1, 4))
+    letter = st.integers(1, 2 * genus).flatmap(lambda j: st.sampled_from([j, -j]))
+    aliases = {}
+    for name in draw(st.lists(st.sampled_from(ALIAS_NAMES), unique=True,
+                              max_size=4)):
+        size = draw(st.integers(0, 6))
+        aliases[name] = reduce(draw(st.lists(letter, min_size=size,
+                                             max_size=size))).letters
+    def spell(kind, zero, i, prime):
+        return kind + "0" * zero + str(i) + "'" * prime
+    generator = st.builds(spell, st.sampled_from("ab"),
+                          st.sampled_from([0, 0, 0, 1]), st.integers(1, genus),
+                          st.integers(0, 1))
+    valid = [generator, generator, generator, st.just("1")]
+    readable = [t for name in aliases for t in _alias_tokens(name)]
+    if readable:
+        valid += [st.sampled_from(readable)] * 2
+    size = draw(st.integers(0, 12))
+    tokens = draw(st.lists(st.one_of(valid), min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 3)) if tokens else 0):
+        pos = draw(st.integers(0, len(tokens) - 1))
+        tokens.insert(pos + 1, _inverse_token(tokens[pos]))
+    if tokens and draw(st.booleans()):
+        tokens.insert(0, _inverse_token(tokens[0]))
+    odd = st.one_of(
+        st.sampled_from(ODD_TOKENS + tuple(n + p for n in ALIAS_NAMES
+                                           for p in ("", "'"))),
+        st.builds(spell, st.sampled_from("ab"), st.integers(0, 1),
+                  st.sampled_from([0, genus + 1, 99]), st.integers(0, 1)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(odd))
+    text = draw(st.sampled_from(SEPARATORS + ("",)))
+    for tok in tokens:
+        text += tok + draw(st.sampled_from(SEPARATORS))
+    line = draw(st.one_of(st.none(), st.integers(1, 99)))
+    return text, genus, aliases, line
+
+
+def _outcome(fn, *args):
+    try:
+        return "word", fn(*args)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
+class TestTokenTable:
+    """parse_word reads a line through a token table and a zero-byte test
+    for inverse pairs; a regex tokenizer with a stack must agree."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(token_lines())
+    def test_matches_naive_parser(self, case):
+        text, genus, aliases, line = case
+        words = {name: Word(letters) for name, letters in aliases.items()}
+        got = _outcome(lambda: parse_word(text, genus, words, line).letters)
+        want = _outcome(naive_parse_word, text, genus, aliases, line)
+        assert got == want
+
 
 
 class TestMappingClass:

@@ -84,13 +84,21 @@ class TestMagnus:
     @settings(deadline=None, max_examples=100)
     @given(st.data())
     def test_matches_naive_oracle(self, data):
-        rank = data.draw(st.integers(1, 6))
+        # monomials are keyed in base rank inside the kernel; spin runs at
+        # rank 8-12
+        rank = data.draw(st.integers(1, 12))
         cutoff = data.draw(st.integers(0, 6))
         letter = st.integers(1, rank).flatmap(
             lambda j: st.sampled_from([j, -j]))
         w = reduce(data.draw(st.lists(letter, max_size=10)))
         assert flatten_series(magnus_expand(w, rank, cutoff)) == \
             naive_magnus(w, cutoff)
+
+    def test_literal_terms(self):
+        # a2 b1^-1 at rank 4: (1 + t3)(1 - t2 + t2^2 - t2^3)
+        assert magnus_expand(Word((3, -2)), 4, 3).terms == {
+            0: {(): 1}, 1: {(3,): 1, (2,): -1}, 2: {(2, 2): 1, (3, 2): -1},
+            3: {(2, 2, 2): -1, (3, 2, 2): 1}}
 
     @settings(deadline=None, max_examples=60)
     @given(letters_st, letters_st)

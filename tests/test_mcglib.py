@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torelli.errors import GenusMismatch, ParseError, ValidationFailure
+from torelli.errors import GenusMismatch, ParseError, TooLarge, ValidationFailure
 from torelli.freegroup import (
+    MappingClass,
     Word,
     apply,
     boundary_word,
@@ -145,11 +146,15 @@ class TestBuiltinEntries:
         assert set(builtin_entries(1)) == {"BDRY"}
 
     def test_all_validate(self):
-        # the tables are built unchecked, so this pins them
+        # the tables and descriptors are built unchecked, so this pins them
         for g in range(1, 9):
             for entry in builtin_entries(g).values():
                 assert validate(entry.action).ok
                 validate_descriptor(entry)
+        top = builtin_entries(63)
+        for name in ("BDRY", "BSCC:62", "BP:std"):
+            assert validate(top[name].action).ok
+            validate_descriptor(top[name])
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -227,6 +232,43 @@ class TestParseMapFile:
         with pytest.raises(ParseError) as err:
             parse_map_file("genus 1\nmap\na1 -> a9\nb1 -> b1\n")
         assert err.value.line == 3
+
+    @staticmethod
+    def alias_chain(k):
+        """x0 = a1 b1 and x_i = x_(i-1) x_(i-1) for i <= k, then the
+        identity: x_i spells 2^(i+1) letters, the file 2^(k+2) + 2."""
+        return "\n".join(["genus 2", "let x0 = a1 b1"]
+                         + [f"let x{i} = x{i - 1} x{i - 1}" for i in range(1, k + 1)]
+                         + ["map"] + [f"{c}{i} -> {c}{i}" for i in (1, 2)
+                                      for c in "ab"])
+
+    def test_letter_budget(self):
+        assert parse_map_file(self.alias_chain(17)).is_identity()  # 524,290
+        with pytest.raises(TooLarge, match="line 20"):  # 1,048,578
+            parse_map_file(self.alias_chain(18))
+
+    def test_aliases_shadow_generators(self):
+        # an alias is read from the lines after its own; it shadows the
+        # generator of its name on right sides only, `a01` still spells
+        # a1, and `1` is never an alias
+        text = ("genus 1\nlet a1 = a1 b1 a1' b1'\nlet 1 = b1\nmap\n"
+                "a1 -> a1 a01 a1'\nb1 -> 1 a1 b1 a1'\n"
+                "inverse\na1 -> a1' a01 a1\nb1 -> a1' b1 a1 1\n")
+        assert parse_map_file(text) == boundary_twist(1).action
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_random_products(self, data):
+        genus = data.draw(st.integers(2, 4))
+        alphabet = ([e.action for e in builtin_entries(genus).values()]
+                    + handle_twists(genus))
+        f = identity_class(genus)
+        for i, inv in data.draw(st.lists(st.tuples(
+                st.integers(0, len(alphabet) - 1), st.booleans()), max_size=5)):
+            f = compose(f, alphabet[i].inverse() if inv else alphabet[i])
+        if data.draw(st.booleans()):
+            f = MappingClass(genus, f.images)
+        assert parse_map_file(serialize_map_file(f)) == f
 
     def test_round_trip(self):
         for f in (boundary_twist(1).action, bp_map(2).action,
