@@ -14,11 +14,12 @@ import io
 from typing import Callable
 
 from .errors import GenusMismatch, ParseError, ValidationFailure
-from .freegroup import (MappingClass, Word, WordReader, _trusted, check_genus,
-                        conjugate, format_word, invert, letter_name,
-                        parse_word, reduce)
+from .freegroup import (MAX_GENUS, MappingClass, Word, WordReader, _trusted,
+                        check_genus, conjugate, format_word, invert,
+                        letter_name, parse_word, reduce)
 from .spinquad import (H1Vector, TorelliGenDescriptor, TorelliWord,
-                       _trusted_descriptor, basis_vector)
+                       _trusted_descriptor, basis_vector, h1_sum_text,
+                       symbol_bit)
 
 
 def _run_curve(start: int, end: int) -> Word:
@@ -46,10 +47,9 @@ def _run_twist(genus: int, start: int, end: int) -> MappingClass:
     return _trusted(genus, tuple(images), tuple(inverses))
 
 
-def _handle_pairs(genus: int, h: int) -> tuple[tuple[H1Vector, H1Vector], ...]:
+def _handle_pairs(h: int) -> tuple[tuple[H1Vector, H1Vector], ...]:
     """The basis pairs (x_i, y_i) of handles 1..h."""
-    return tuple((basis_vector(genus, 2 * i - 1), basis_vector(genus, 2 * i))
-                 for i in range(1, h + 1))
+    return tuple((1 << 2 * i - 2, 1 << 2 * i - 1) for i in range(1, h + 1))
 
 
 def bscc_twist(genus: int, h: int) -> TorelliGenDescriptor:
@@ -58,14 +58,14 @@ def bscc_twist(genus: int, h: int) -> TorelliGenDescriptor:
         raise GenusMismatch(
             f"subsurface genus must satisfy 1 <= h < g, got h={h}, g={genus}")
     return _trusted_descriptor(f"BSCC:{h}", "bscc", _run_twist(genus, 1, h),
-                               _handle_pairs(genus, h))
+                               _handle_pairs(h))
 
 
 def boundary_twist(genus: int) -> TorelliGenDescriptor:
     """Twist about a curve parallel to the boundary: conjugation by zeta."""
     check_genus(genus)
     return _trusted_descriptor("BDRY", "bscc", _run_twist(genus, 1, genus),
-                               _handle_pairs(genus, genus))
+                               _handle_pairs(genus))
 
 
 # Bounding-pair word table, genus 2 block.  z is the curve word of the
@@ -93,15 +93,13 @@ def _bp_std_action(genus: int) -> MappingClass:
     return _trusted(genus, tuple(images), tuple(inverses))
 
 
-def bp_map(genus: int, layout: str = "std") -> TorelliGenDescriptor:
-    """The library bounding-pair map.  Layout "std" pairs a band-sum curve
-    in the class of a2 with the a2 curve itself, cobounding handle 1."""
+def bp_map(genus: int) -> TorelliGenDescriptor:
+    """The library bounding-pair map `BP:std`: a band-sum curve in the
+    class of a2 paired with the a2 curve itself, cobounding handle 1."""
     if genus < 2:
         raise GenusMismatch(f"bounding pairs need genus >= 2, got {genus}")
-    if layout != "std":
-        raise ParseError(f"unknown bounding-pair layout {layout!r}")
     return _trusted_descriptor("BP:std", "bp", _bp_std_action(genus),
-                               _handle_pairs(genus, 1), basis_vector(genus, 3))
+                               _handle_pairs(1), basis_vector(genus, 3))
 
 
 def _builtin_names(genus: int) -> list[str]:
@@ -144,9 +142,12 @@ def _parse_genus_line(lines) -> int:
     except StopIteration:
         raise ParseError("empty file, expected a genus line") from None
     parts = body.split()
-    if len(parts) != 2 or parts[0] != "genus" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "genus" or not parts[1].isdecimal():
         raise ParseError("expected `genus <g>`", ln)
-    g = int(parts[1])
+    try:
+        g = int(parts[1])
+    except ValueError:  # more digits than int() converts: above MAX_GENUS
+        raise GenusMismatch(f"genus must be in 1..{MAX_GENUS}") from None
     if g < 1:
         raise ParseError("genus must be >= 1", ln)
     check_genus(g)
@@ -239,18 +240,16 @@ def serialize_map_file(f: MappingClass) -> str:
 
 def _parse_h1_sum(token: str, genus: int, ln: int) -> H1Vector:
     """`x1+y2`-style sums of basis symbols into an H1 vector."""
-    bits = [0] * (2 * genus)
+    v = 0
     for part in token.split("+"):
         part = part.strip()
-        kind = part[:1]
-        if kind not in ("x", "y") or not part[1:].isdigit():
+        k = symbol_bit(part)
+        if k is None:
             raise ParseError(f"bad homology term {part!r}", ln)
-        i = int(part[1:])
-        if not 1 <= i <= genus:
+        if not 0 <= k < 2 * genus:
             raise ParseError(f"homology index {part!r} out of range", ln)
-        idx = 2 * (i - 1) + (0 if kind == "x" else 1)
-        bits[idx] ^= 1
-    return tuple(bits)
+        v ^= 1 << k
+    return v
 
 
 def _parse_pair_list(rest: str, genus: int, ln: int):
@@ -277,7 +276,7 @@ def _parse_pair_list(rest: str, genus: int, ln: int):
 def _basis_pair_handles(pairs, genus: int, ln: int) -> list[int]:
     """Require each pair to be a standard handle pair (x_i, y_i); the
     built-in action model only covers those."""
-    basis = _handle_pairs(genus, genus)
+    basis = _handle_pairs(genus)
     for pair in pairs:
         if pair not in basis:
             raise ParseError(
@@ -415,19 +414,7 @@ def serialize_tor_file(genus: int, word: TorelliWord) -> str:
 def descriptor_spec(d: TorelliGenDescriptor) -> str:
     """The `.tor` text of a descriptor's homology data: `pairs (..)(..)`
     for bscc, `class .. pair (..)` for bp (its action path not included)."""
-    g = d.action.genus
-    pairs = "".join(f"({_h1_sum_text(x, g)} {_h1_sum_text(y, g)})"
-                    for x, y in d.pairs)
+    pairs = "".join(f"({h1_sum_text(x)} {h1_sum_text(y)})" for x, y in d.pairs)
     if d.kind == "bscc":
         return "pairs " + pairs
-    return f"class {_h1_sum_text(d.curve_class, g)} pair {pairs}"
-
-
-def _h1_sum_text(v: H1Vector, genus: int) -> str:
-    terms = []
-    for i in range(1, genus + 1):
-        if v[2 * (i - 1)]:
-            terms.append(f"x{i}")
-        if v[2 * i - 1]:
-            terms.append(f"y{i}")
-    return "+".join(terms) if terms else "0"
+    return f"class {h1_sum_text(d.curve_class)} pair {pairs}"

@@ -23,7 +23,8 @@ from .freegroup import MappingClass, abelianization, compose, identity_class
 from .freelie import H1LieTensor
 from .johnson import tau
 
-H1Vector = tuple[int, ...]
+H1Vector = int
+"""An H1 class mod 2 as a bit mask: x_i at bit 2i-2, y_i at bit 2i-1."""
 
 MAX_FORM_GENUS = 8
 
@@ -33,7 +34,28 @@ def basis_vector(genus: int, index: int) -> H1Vector:
     n = 2 * genus
     if not 1 <= index <= n:
         raise GenusMismatch(f"basis index {index} out of range for genus {genus}")
-    return tuple(1 if j == index - 1 else 0 for j in range(n))
+    return 1 << (index - 1)
+
+
+def symbol_bit(name: str) -> Optional[int]:
+    """The bit of basis symbol `x<i>`/`y<i>` in an :data:`H1Vector`, -1
+    when the index is 0 or has more digits than int() converts, and None
+    when ``name`` is no basis symbol.  Any decimal digits spell the index,
+    as int() reads them."""
+    kind, digits = name[:1], name[1:]
+    if kind not in ("x", "y") or not digits.isdecimal():
+        return None
+    try:
+        i = int(digits)
+    except ValueError:  # more digits than int() converts: out of range
+        return -1
+    return 2 * i - 2 + (kind == "y") if i else -1
+
+
+def h1_sum_text(v: H1Vector) -> str:
+    """`x1+y2`-style text of an H1 vector, `0` for the zero class."""
+    return "+".join(f"{'xy'[k & 1]}{k // 2 + 1}"
+                    for k in range(v.bit_length()) if v >> k & 1) or "0"
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,18 +81,16 @@ def arf(q: QuadForm) -> int:
     return sum(vals[k] * vals[k + 1] for k in range(0, len(vals), 2)) % 2
 
 
-def _require_symplectic(pairs: Sequence[tuple[H1Vector, H1Vector]]):
-    """Pairs must form part of a symplectic basis: x_i.y_j = delta_ij,
-    x_i.x_j = y_i.y_j = 0.
+def _require_symplectic(pairs: Sequence[tuple[H1Vector, H1Vector]], n: int):
+    """Pairs of vectors of n coordinates must form part of a symplectic
+    basis: x_i.y_j = delta_ij, x_i.x_j = y_i.y_j = 0.
 
-    Each vector is packed once as an int, coordinate k at bit k.  With the
-    two bits of each handle swapped in one factor, u.v is the parity of
-    ``u & swap(v)``.
+    With the two bits of each handle swapped in one factor, u.v is the
+    parity of ``u & swap(v)``.
     """
-    even = int("01" * (len(pairs[0][0]) // 2), 2) if pairs else 0
-    packed = [[int("".join(map(str, v[::-1])), 2) for v in p] for p in pairs]
-    swapped = [[(u & even) << 1 | (u >> 1) & even for u in p] for p in packed]
-    for i, (xi, yi) in enumerate(packed):
+    even = ((1 << n) - 1) // 3  # the x bits, 0b0101...01
+    swapped = [[(u & even) << 1 | (u >> 1) & even for u in p] for p in pairs]
+    for i, (xi, yi) in enumerate(pairs):
         for j, (xj, yj) in enumerate(swapped):
             if (xi & yj).bit_count() & 1 != (1 if i == j else 0):
                 raise ValidationFailure(
@@ -85,36 +105,15 @@ def _check_form_genus(genus: int) -> None:
         raise GenusMismatch(f"genus must be in 1..{MAX_FORM_GENUS}, got {genus}")
 
 
-def _side(lo: int, hi: int, cell, unit) -> list:
-    """``(cell(lo, ..) + ... + cell(hi, ..), parity)`` over the basis values
-    of handles lo..hi in lexicographic order, with the parity of the
-    number of handles whose two values are both 1."""
-    out = [(unit, 0)]
+def _side(lo: int, hi: int) -> list[tuple[str, int]]:
+    """``(text, parity)`` over the basis values of handles lo..hi in
+    lexicographic order: the form literal text of those handles, and the
+    parity of the number of handles whose two values are both 1."""
+    out = [("", 0)]
     for i in range(hi, lo - 1, -1):
-        out = [(cell(i, a, b) + rest, p ^ (a & b))
+        out = [(_literal_cell(i, a, b) + rest, p ^ (a & b))
                for a in (0, 1) for b in (0, 1) for rest, p in out]
     return out
-
-
-def _form_blocks(genus: int, arf_filter: Optional[int], cell, unit) -> list:
-    """Every form, in lexicographic basis-value order and optionally of one
-    Arf invariant, as ``head + tail`` over ``(head, tails)`` blocks.
-
-    ``cell(i, a, b)`` stands for q(x_i) = a, q(y_i) = b, and ``unit`` is
-    the empty concatenation.  Heads cover the first g // 2 handles and
-    tails the rest.  The Arf invariant is the parity of the handles with
-    both values 1, so a head takes the tails of matching parity and no
-    form is tested on its own.
-    """
-    _check_form_genus(genus)
-    half = genus // 2
-    heads = _side(1, half, cell, unit)
-    tails = _side(half + 1, genus, cell, unit)
-    if arf_filter is None:
-        every = [t for t, _ in tails]
-        return [(head, every) for head, _ in heads]
-    by_parity = ([t for t, p in tails if p == 0], [t for t, p in tails if p == 1])
-    return [(head, by_parity[p ^ arf_filter]) for head, p in heads]
 
 
 def enumerate_forms(genus: int, arf_filter: Optional[int] = None) -> list[QuadForm]:
@@ -123,15 +122,29 @@ def enumerate_forms(genus: int, arf_filter: Optional[int] = None) -> list[QuadFo
 
     The CLI builds no form: it lists them with :func:`form_literal_blocks`
     and reads Birman-Craggs bits with :func:`rho_bits`."""
-    return [QuadForm(head + tail) for head, tails in _form_blocks(
-        genus, arf_filter, lambda i, a, b: (a, b), ()) for tail in tails]
+    _check_form_genus(genus)
+    forms = map(QuadForm, itertools.product((0, 1), repeat=2 * genus))
+    return [q for q in forms if arf_filter is None or arf(q) == arf_filter]
 
 
 def form_literal_blocks(genus: int,
                         arf_filter: Optional[int] = None) -> list[tuple[str, list[str]]]:
     """:func:`form_literal` of each form of :func:`enumerate_forms`, in the
-    same order, as ``head + tail`` over the ``(head, tails)`` blocks."""
-    return _form_blocks(genus, arf_filter, _literal_cell, "")
+    same order, as ``head + tail`` over ``(head, tails)`` blocks.
+
+    Heads cover the first g // 2 handles and tails the rest.  The Arf
+    invariant is the parity of the handles with both values 1, so a head
+    takes the tails of matching parity and no form is tested on its own.
+    """
+    _check_form_genus(genus)
+    half = genus // 2
+    heads = _side(1, half)
+    tails = _side(half + 1, genus)
+    if arf_filter is None:
+        every = [t for t, _ in tails]
+        return [(head, every) for head, _ in heads]
+    by_parity = ([t for t, p in tails if p == 0], [t for t, p in tails if p == 1])
+    return [(head, by_parity[p ^ arf_filter]) for head, p in heads]
 
 
 def parse_form_literal(text: str) -> QuadForm:
@@ -146,24 +159,19 @@ def parse_form_literal(text: str) -> QuadForm:
     seen: dict[int, int] = {}
     for tok in body.split():
         name, eq, val = tok.partition("=")
-        kind = name[:1]
-        if eq != "=" or kind not in ("x", "y") or not name[1:].isdigit() \
-                or val not in ("0", "1"):
+        k = symbol_bit(name)
+        if eq != "=" or k is None or k < 0 or val not in ("0", "1"):
             raise ParseError(f"bad form term {tok!r}")
-        i = int(name[1:])
-        if i < 1:
-            raise ParseError(f"bad form term {tok!r}")
-        idx = 2 * (i - 1) + (0 if kind == "x" else 1)
-        if idx in seen:
+        if k in seen:
             raise ParseError(f"repeated form term {name!r}")
-        seen[idx] = int(val)
+        seen[k] = int(val)
     if not seen:
         raise ParseError("empty form literal")
     n = max(seen) + 1
     if n % 2 == 1:
         n += 1
-    missing = [k for k in range(n) if k not in seen]
-    if missing:
+    # the keys are distinct and below n, so they cover it when there are n
+    if len(seen) != n:
         raise ParseError("form literal must cover every basis symbol")
     return QuadForm(tuple(seen[k] for k in range(n)))
 
@@ -235,13 +243,13 @@ def validate_descriptor(d: TorelliGenDescriptor) -> None:
     action (validated when it was built) in the kernel of the H1 action."""
     n = 2 * d.action.genus
     for x, y in d.pairs:
-        if len(x) != n or len(y) != n:
+        if x < 0 or y < 0 or x >> n or y >> n:
             raise ValidationFailure("descriptor vectors of the wrong rank")
-    _require_symplectic(d.pairs)
+    _require_symplectic(d.pairs, n)
     if d.kind == "bp":
-        if len(d.curve_class) != n:
+        if d.curve_class < 0 or d.curve_class >> n:
             raise ValidationFailure("curve class of the wrong rank")
-        if not any(d.curve_class):
+        if not d.curve_class:
             raise ValidationFailure("bp curve class must be nonzero")
     ab = abelianization(d.action)
     if any(ab[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
@@ -262,13 +270,13 @@ def _bc_sum(word: TorelliWord, basis: Sequence[int], ones: int) -> int:
     of q on the bounded subsurface); a bp letter adds the same masked by
     1 + q(c).  Exponents are irrelevant in Z2.
     """
+    even = ((1 << len(basis)) - 1) // 3  # the x bits, 0b0101...01
+
     def value(v: H1Vector) -> int:
-        table = 0
-        for bit, b in zip(v, basis):
-            if bit:
-                table ^= b
-        if sum(v[k] & v[k + 1] for k in range(0, len(v), 2)) % 2:
-            table ^= ones
+        table = ones if (v & v >> 1 & even).bit_count() & 1 else 0
+        while v:
+            table ^= basis[(v & -v).bit_length() - 1]
+            v &= v - 1
         return table
 
     total = 0

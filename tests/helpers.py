@@ -203,6 +203,65 @@ def fox_coefficient(w: Word, mono) -> int:
     return augmentation(element)
 
 
+def as_tuple(v: int, n: int) -> tuple:
+    """The n coordinates of an H1 bit mask, x_1, y_1, x_2, ..., as the
+    tuple vectors the oracles below take."""
+    return tuple(v >> k & 1 for k in range(n))
+
+
+_SYMBOL = re.compile(r"([xy])(\d+)")
+
+
+def naive_symbol(name):
+    """``(kind, i)`` of a basis symbol `x<i>`/`y<i>` by regex, or None; an
+    index int() cannot convert reads as 0, which no genus has."""
+    m = _SYMBOL.fullmatch(name)
+    if m is None:
+        return None
+    try:
+        return m.group(1), int(m.group(2))
+    except ValueError:
+        return m.group(1), 0
+
+
+def naive_h1_sum(text, genus, line=None) -> tuple:
+    """A `.tor` sum `x1+y2` as a tuple vector, or the ParseError it raises."""
+    v = [0] * (2 * genus)
+    for part in text.split("+"):
+        part = part.strip()
+        sym = naive_symbol(part)
+        if sym is None:
+            raise ParseError(f"bad homology term {part!r}", line)
+        kind, i = sym
+        if not 1 <= i <= genus:
+            raise ParseError(f"homology index {part!r} out of range", line)
+        v[2 * i - 2 if kind == "x" else 2 * i - 1] ^= 1
+    return tuple(v)
+
+
+def naive_form_literal(text) -> QuadForm:
+    """A form literal `q: x1=0 y1=1`, or the ParseError it raises: every
+    symbol x_1 .. y_g once, for g the largest index named."""
+    body = text.strip()
+    body = body[2:] if body.startswith("q:") else body
+    values = {}
+    for tok in body.split():
+        name, eq, val = tok.partition("=")
+        sym = naive_symbol(name)
+        if not eq or sym is None or sym[1] == 0 or val not in ("0", "1"):
+            raise ParseError(f"bad form term {tok!r}")
+        if sym in values:
+            raise ParseError(f"repeated form term {name!r}")
+        values[sym] = int(val)
+    if not values:
+        raise ParseError("empty form literal")
+    genus = max(i for _, i in values)
+    if len(values) != 2 * genus:
+        raise ParseError("form literal must cover every basis symbol")
+    return QuadForm(tuple(values[kind, i] for i in range(1, genus + 1)
+                          for kind in "xy"))
+
+
 def intersect(u, v) -> int:
     """Mod-2 intersection pairing of tuple vectors; x_i.y_i = 1 and all
     else vanishes."""
@@ -248,11 +307,13 @@ def naive_rho(q: QuadForm, word) -> int:
     otherwise the Arf invariant on the cobounded genus-1 piece."""
     if arf(q) != 0:
         raise ArfNonZero("Birman-Craggs homomorphisms exist only for Arf-0 forms")
+    n = len(q.basis_values)
     total = 0
     for desc, _exp in word:
-        if desc.kind == "bp" and q_eval(q, desc.curve_class) == 1:
+        if desc.kind == "bp" and q_eval(q, as_tuple(desc.curve_class, n)) == 1:
             continue
-        total += sum(q_eval(q, x) * q_eval(q, y) for x, y in desc.pairs)
+        total += sum(q_eval(q, as_tuple(x, n)) * q_eval(q, as_tuple(y, n))
+                     for x, y in desc.pairs)
     return total % 2
 
 

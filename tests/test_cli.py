@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torelli.cli import main
@@ -387,14 +387,18 @@ class TestGenusBound:
         if kind == "tor":
             return f"genus {genus}\nword BSCC:1\n"
         # the parser stops at the genus line, so a huge genus needs no images
-        lines = range(1, 2 * genus + 1) if genus <= MAX_GENUS + 3 else ()
+        small = isinstance(genus, int) and genus <= MAX_GENUS + 3
+        lines = range(1, 2 * genus + 1) if small else ()
         return f"genus {genus}\nmap\n" + "".join(
             f"{letter_name(j)} -> {letter_name(j)}\n" for j in lines)
 
     @given(genus=st.integers(MAX_GENUS - 2, MAX_GENUS + 3)
-           | st.sampled_from([0, 1, 2 * MAX_GENUS + 1, 200, 10 ** 30]),
+           | st.sampled_from([0, 1, 2 * MAX_GENUS + 1, 200, 10 ** 30,
+                              "²", "1" * 5000]),
            kind=st.sampled_from(["map", "tor"]),
            verb=st.sampled_from(["validate", "depth", "present", "tau"]))
+    @example(genus="²", kind="map", verb="depth")
+    @example(genus="1" * 5000, kind="tor", verb="validate")
     @settings(max_examples=40, deadline=None)
     def test_inputs_around_the_bound(self, genus, kind, verb):
         with tempfile.TemporaryDirectory() as root:
@@ -405,11 +409,13 @@ class TestGenusBound:
         assert code in (0, 1, 2)
         if code:
             assert out.startswith("error: ")
-        if genus > MAX_GENUS:
-            assert (code, out) == (1, "error: GENUS_MISMATCH\n")
-        elif genus == 0 or (kind == "tor" and genus == 1):
-            # a genus line of 0, or BSCC:1 named where it does not exist
+        if genus in ("²", 0) or (kind == "tor" and genus == 1):
+            # a genus that is no decimal or 0, or BSCC:1 named where it
+            # does not exist
             assert (code, out) == (2, "error: SYNTAX_ERROR\n")
+        elif genus == "1" * 5000 or genus > MAX_GENUS:
+            # more digits than int() converts is a genus above the bound
+            assert (code, out) == (1, "error: GENUS_MISMATCH\n")
         else:
             assert code == 0
 

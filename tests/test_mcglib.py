@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torelli.errors import GenusMismatch, ParseError, TooLarge, ValidationFailure
+from torelli.errors import (GenusMismatch, ParseError, TooLarge, TorelliError,
+                            ValidationFailure)
 from torelli.freegroup import (
     MappingClass,
     Word,
@@ -29,9 +30,11 @@ from torelli.mcglib import (
     serialize_map_file,
     serialize_tor_file,
 )
-from torelli.spinquad import basis_vector, composed_action, validate_descriptor
+from torelli.spinquad import (basis_vector, composed_action, h1_sum_text,
+                              parse_form_literal, validate_descriptor)
 
-from helpers import handle_twists
+from helpers import (as_tuple, handle_twists, naive_form_literal, naive_h1_sum,
+                     symplectic_failure)
 
 
 class TestSurfaceModel:
@@ -49,7 +52,7 @@ class TestSurfaceModel:
 
     def test_basis_vectors(self):
         x1, y1, x2, y2 = (basis_vector(2, i) for i in range(1, 5))
-        assert (x1, y2) == ((1, 0, 0, 0), (0, 0, 0, 1))
+        assert (x1, y1, x2, y2) == (0b0001, 0b0010, 0b0100, 0b1000)
         assert bscc_twist(2, 1).pairs == ((x1, y1),)
         assert boundary_twist(2).pairs == ((x1, y1), (x2, y2))
         assert bp_map(2).curve_class == x2
@@ -127,8 +130,6 @@ class TestBpMap:
     def test_errors(self):
         with pytest.raises(GenusMismatch):
             bp_map(1)
-        with pytest.raises(ParseError):
-            bp_map(2, "diag")
 
     def test_descriptor_matches_tau2_support(self):
         # tau2 couples the pair's class to the cobounded handle basis:
@@ -350,7 +351,7 @@ class TestParseTorFile:
                 "word P P'\n")
         word = parse_tor_file(text, load={"table.map": action_text}.__getitem__)
         assert word[0][0].action.images == bp_map(2).action.images
-        assert word[0][0].curve_class == (0, 0, 1, 0)
+        assert word[0][0].curve_class == basis_vector(2, 3)
         assert word[0][0].action_path == "table.map"
 
     def test_bp_without_action_path_not_serialized(self):
@@ -412,3 +413,127 @@ class TestParseTorFile:
         for (e1, _), (e2, _) in zip(word, again):
             assert e1.action.images == e2.action.images
         assert serialize_tor_file(2, again) == emitted
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_random_words(self, data):
+        genus = data.draw(st.integers(2, 4))
+        loader = {"t.map": serialize_map_file(bp_map(genus).action)}.__getitem__
+
+        def declared(decl):
+            text = f"genus {genus}\ngen {decl}\nword {decl.split()[0]}\n"
+            return parse_tor_file(text, load=loader)[0][0]
+
+        alphabet = list(builtin_entries(genus).values())
+        for n in range(data.draw(st.integers(0, 3))):
+            # a bscc run of handles lo..hi, its pairs in any order
+            lo = data.draw(st.integers(1, genus))
+            run = data.draw(st.permutations(range(lo, data.draw(
+                st.integers(lo, genus)) + 1)))
+            alphabet.append(declared(f"S{n} bscc pairs " + "".join(
+                f"(x{i} y{i})" for i in run)))
+        for n in range(data.draw(st.integers(0, 2))):
+            # a bp on one handle pair, with any class the pair leaves nonzero
+            h = data.draw(st.integers(1, genus))
+            c = data.draw(st.integers(1, 4 ** genus - 1))
+            alphabet.append(declared(
+                f"P{n} bp class {h1_sum_text(c)} pair (x{h} y{h}) action t.map"))
+        word = tuple(data.draw(st.lists(st.tuples(
+            st.sampled_from(alphabet), st.sampled_from([1, -1])),
+            min_size=1, max_size=6)))
+        assert parse_tor_file(serialize_tor_file(genus, word), load=loader) == word
+
+
+# Basis-symbol indices: in and out of range, leading zeros, digits that
+# int() reads (Arabic-Indic) and digits it does not (superscripts), and
+# runs longer than int() converts.
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def spellings(indices):
+    """Decimal spellings of the drawn indices that int() reads."""
+    return st.one_of(
+        indices.map(str),
+        st.tuples(st.integers(1, 3), indices).map(lambda z: "0" * z[0] + str(z[1])),
+        indices.map(lambda i: str(i).translate(_ARABIC_INDIC)))
+
+
+def index_texts(genus, clean):
+    spelled = spellings(st.integers(1, genus))
+    if clean:
+        return spelled
+    return spelled | st.one_of(
+        st.sampled_from([0, genus + 1, 62, 63, 64, 10 ** 9]).map(str),
+        st.integers(1, 70).map(lambda i: str(i).translate(_SUPERSCRIPT)),
+        st.sampled_from(["1" * 5000, "0" * 4999 + "1", "9" * 5000]),
+        st.sampled_from(["", "1a", "-1", "1.0"]))
+
+
+def symbol_texts(genus, clean=False):
+    kinds = st.sampled_from("xy") if clean else st.sampled_from(["x", "y", "z", ""])
+    return st.tuples(kinds, index_texts(genus, clean)).map("".join).filter(bool)
+
+
+def outcome_of(fn, *args):
+    """fn(*args), or the type and text of the TorelliError it raises."""
+    try:
+        return fn(*args)
+    except TorelliError as exc:
+        return type(exc), str(exc)
+
+
+class TestH1SymbolText:
+    """`.tor` sums and form literals read basis symbols as the regex
+    oracles in tests/helpers.py do: the same value or the same error."""
+
+    @staticmethod
+    def sum_texts(data, genus):
+        count = data.draw(st.integers(1, 3))
+        clean = data.draw(st.integers(0, 2)) > 0  # two sums in three
+        return "+".join(data.draw(symbol_texts(genus, clean))
+                        for _ in range(count))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tor_pair_and_class(self, data):
+        genus = data.draw(st.integers(2, 4))
+        c, x, y = (self.sum_texts(data, genus) for _ in range(3))
+        loader = {"t.map": serialize_map_file(bp_map(genus).action)}.__getitem__
+        text = (f"genus {genus}\ngen P bp class {c} pair ({x} {y}) "
+                f"action t.map\nword P\n")
+
+        def parsed():
+            d = parse_tor_file(text, load=loader)[0][0]
+            n = 2 * genus
+            return tuple(as_tuple(v, n) for v in (d.curve_class,) + d.pairs[0])
+
+        def expected():
+            vc, vx, vy = (naive_h1_sum(t, genus, 2) for t in (c, x, y))
+            failure = symplectic_failure([(vx, vy)])
+            if failure:
+                raise ValidationFailure(failure)
+            if not any(vc):
+                raise ValidationFailure("bp curve class must be nonzero")
+            return vc, vx, vy
+
+        assert outcome_of(parsed) == outcome_of(expected)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_form_literal(self, data):
+        # every symbol of a genus once, in any order and spelling, less at
+        # most one; then up to two more terms of any kind
+        genus = data.draw(st.integers(1, 3))
+        symbols = data.draw(st.permutations(
+            [(kind, i) for i in range(1, genus + 1) for kind in "xy"]))
+        symbols = symbols[:data.draw(st.integers(2 * genus - 1, 2 * genus))]
+        tokens = [kind + data.draw(spellings(st.just(i))) + "="
+                  + data.draw(st.sampled_from("01")) for kind, i in symbols]
+        for _ in range(data.draw(st.integers(0, 2))):
+            tokens.insert(data.draw(st.integers(0, len(tokens))),
+                          data.draw(symbol_texts(genus)) + "="
+                          + data.draw(st.sampled_from(["0", "1", "2", ""])))
+        text = data.draw(st.sampled_from(["", "q: "])) + " ".join(tokens)
+        assert outcome_of(parse_form_literal, text) == \
+            outcome_of(naive_form_literal, text)

@@ -27,8 +27,8 @@ from torelli.spinquad import (
     validate_descriptor,
 )
 
-from helpers import (handle_twists, intersect, naive_rho, product_forms,
-                     q_eval, symplectic_failure)
+from helpers import (as_tuple, handle_twists, intersect, naive_form_literal,
+                     naive_rho, product_forms, q_eval, symplectic_failure)
 
 bits_st = st.lists(st.sampled_from([0, 1]), min_size=4, max_size=4).map(tuple)
 
@@ -41,6 +41,11 @@ def add_vectors(u, v):
     return tuple((a + b) % 2 for a, b in zip(u, v))
 
 
+def as_mask(v):
+    """The H1 bit mask of a tuple vector."""
+    return sum(bit << k for k, bit in enumerate(v))
+
+
 class TestQEval:
     def test_zero_vector(self):
         q = form(1, 0, 1, 1)
@@ -49,7 +54,8 @@ class TestQEval:
     @pytest.mark.parametrize("idx", range(1, 5))
     def test_basis_values_returned(self, idx):
         q = form(0, 1, 1, 0)
-        assert q_eval(q, basis_vector(2, idx)) == q.basis_values[idx - 1]
+        assert q_eval(q, as_tuple(basis_vector(2, idx), 4)) == \
+            q.basis_values[idx - 1]
 
     def test_cross_term_within_handle(self):
         # q == 0 on the basis, but x1+y1 picks up the intersection term
@@ -144,14 +150,14 @@ class TestArfOnPairs:
         # a descriptor cannot be built on pairs that are not symplectic
         for pairs, match in ((((X1, X2),), "x_1.y_1 wrong"),
                              (((X1, Y1), (X1, Y2)), "x_2.y_1 wrong"),
-                             (((X1, Y1), (X2, add_vectors(Y2, X1))),
+                             (((X1, Y1), (X2, Y2 ^ X1)),
                               "pairs 1,2 interact")):
             with pytest.raises(ValidationFailure, match=match):
                 pairs_descriptor(2, pairs)
 
     def test_whole_surface_matches_arf(self):
         # the Arf invariant does not depend on the symplectic basis
-        twisted = [(X1, add_vectors(Y1, X2)), (X2, add_vectors(Y2, X1))]
+        twisted = [(X1, Y1 ^ X2), (X2, Y2 ^ X1)]
         for q in enumerate_forms(2, 0):
             for pairs in ([(X1, Y1), (X2, Y2)], twisted):
                 assert arf_on_pairs(q, pairs) == arf(q)
@@ -230,7 +236,7 @@ class TestDescriptors:
         with pytest.raises(ValidationFailure, match="curve class must be nonzero"):
             TorelliGenDescriptor(
                 name="bad", kind="bp", action=action,
-                curve_class=(0, 0, 0, 0),
+                curve_class=0,
                 pairs=((basis_vector(2, 1), basis_vector(2, 2)),))
 
     def test_action_outside_torelli_rejected(self):
@@ -260,8 +266,9 @@ class TestRho:
     def test_bp_rule_kills_forms_on_the_class(self):
         d = bp_map(2)
         for q in enumerate_forms(2, 0):
-            expected = 0 if q_eval(q, d.curve_class) == 1 else \
-                q_eval(q, d.pairs[0][0]) * q_eval(q, d.pairs[0][1])
+            x, y = (as_tuple(v, 4) for v in d.pairs[0])
+            expected = 0 if q_eval(q, as_tuple(d.curve_class, 4)) == 1 else \
+                q_eval(q, x) * q_eval(q, y)
             assert rho(q, [(d, 1)]) == expected
 
     def test_exponent_sign_irrelevant(self):
@@ -352,20 +359,20 @@ def rho_words(draw, genus):
     one pair with any nonzero class.  rho reads only the homology data, so
     the drawn descriptors carry the identity action."""
     basis = random_symplectic(genus, random.Random(draw(st.integers(0, 2 ** 16))))
-    pairs = [(basis[2 * i], basis[2 * i + 1]) for i in range(genus)]
+    pairs = [(as_mask(basis[2 * i]), as_mask(basis[2 * i + 1]))
+             for i in range(genus)]
     builtins = [boundary_twist(genus)] + [bscc_twist(genus, h)
                                           for h in range(1, genus)]
     if genus >= 2:
         builtins.append(bp_map(genus))
-    vectors = st.lists(st.sampled_from([0, 1]), min_size=2 * genus,
-                       max_size=2 * genus).map(tuple)
+    vectors = st.integers(0, 4 ** genus - 1)
     handles = st.lists(st.integers(0, genus - 1), unique=True, max_size=genus)
     letter = st.one_of(
         st.sampled_from(builtins),
         handles.map(lambda hs: TorelliGenDescriptor(
             name="S", kind="bscc", action=identity_class(genus),
             pairs=tuple(pairs[h] for h in hs))),
-        st.tuples(vectors.filter(any), st.integers(0, genus - 1)).map(
+        st.tuples(vectors.filter(bool), st.integers(0, genus - 1)).map(
             lambda cp: TorelliGenDescriptor(
                 name="P", kind="bp", action=identity_class(genus),
                 curve_class=cp[0], pairs=(pairs[cp[1]],))))
@@ -417,7 +424,7 @@ class TestRhoAboveFormGenus:
 
 
 class TestPackedSymplecticCheck:
-    """The descriptor check on packed ints gives the verdict and message of
+    """The descriptor check on bit masks gives the verdict and message of
     the tuple pairing, on symplectic pair lists and perturbed ones."""
 
     @given(data=st.data())
@@ -425,19 +432,17 @@ class TestPackedSymplecticCheck:
     def test_matches_tuple_pairing(self, data):
         genus = data.draw(st.integers(1, 5))
         basis = random_symplectic(genus, random.Random(data.draw(st.integers(0, 2 ** 16))))
-        pairs = [[basis[2 * i], basis[2 * i + 1]]
+        pairs = [[as_mask(basis[2 * i]), as_mask(basis[2 * i + 1])]
                  for i in data.draw(st.permutations(range(genus)))]
         pairs = pairs[:data.draw(st.integers(1, genus))]
         for _ in range(data.draw(st.integers(0, 2))):
             # flip one coordinate of one vector
             i = data.draw(st.integers(0, len(pairs) - 1))
             side = data.draw(st.integers(0, 1))
-            k = data.draw(st.integers(0, 2 * genus - 1))
-            v = list(pairs[i][side])
-            v[k] ^= 1
-            pairs[i][side] = tuple(v)
+            pairs[i][side] ^= 1 << data.draw(st.integers(0, 2 * genus - 1))
         pairs = [tuple(p) for p in pairs]
-        expected = symplectic_failure(pairs)
+        expected = symplectic_failure(
+            [(as_tuple(x, 2 * genus), as_tuple(y, 2 * genus)) for x, y in pairs])
         if expected is None:
             pairs_descriptor(genus, pairs)
         else:
