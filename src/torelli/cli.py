@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from .errors import ParseError, TooLarge, TorelliError
-from .freegroup import MappingClass, identity_class, letter_name, validate
+from .freegroup import MappingClass, identity_class, letter_name, require_valid
 from .freelie import LieElement, lyndon_basis, standard_factorization, witt_dim
 from .johnson import (DEFAULT_DEPTH, DEFAULT_TOWER_MAX, bordant,
                       filtration_depth, morita_check, tau, tau_tower)
@@ -249,8 +249,9 @@ def cmd_gens(args) -> int:
 def cmd_validate(args) -> int:
     kind, obj = load_input(args.input)
     if kind == "map":
-        # the parser has already rejected a class failing any check
-        for c in validate(obj).checks:
+        # the parser has rejected a class failing an image check; the
+        # inverse block, if any, is checked here, before any output
+        for c in require_valid(obj).checks:
             detail = f" ({c.detail})" if c.detail else ""
             print(f"{c.name}: {c.status}{detail}")
         print("result: ok")

@@ -12,14 +12,17 @@ with the commutator convention [u, v] = u v u^-1 v^-1.
 
 A mapping class is recorded by the images of the 2g generators under the
 induced automorphism of the free group; any genuine mapping class fixes
-zeta exactly, which is the first validation check.  The checks run once,
-when a class is built, so the operations on classes never repeat them.
+zeta exactly, which is the first validation check.  Building a class runs
+the shape, boundary and determinant checks; a supplied inverse block is
+checked once, the first time it is read (by :meth:`MappingClass.inverse`
+or :func:`compose`), so the operations that read images only never pay
+for it.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .errors import (GenusMismatch, MissingInverse, NotReduced, ParseError,
@@ -331,15 +334,22 @@ class MappingClass:
 
     ``images[j-1]`` is the image of generator j.  ``inverse_images``, when
     supplied, records the inverse automorphism; it is never computed by
-    search.  Building a class runs :func:`require_valid`, so an invalid
-    class raises ValidationFailure and every MappingClass in hand passes
-    :func:`validate`.  Results of :func:`compose`, :meth:`inverse` and
-    :func:`identity_class` are valid by construction and skip the check.
+    search.  Building a class checks its shape, that it fixes zeta and
+    that its action on H1 has determinant +-1, and raises
+    ValidationFailure (naming every failed check of :func:`validate`)
+    otherwise.  The inverse block is checked the first time it is read, by
+    :meth:`inverse` or :func:`compose`, and raises ValidationFailure there
+    if it does not invert the images.  Results of :func:`compose`,
+    :meth:`inverse` and :func:`identity_class` are valid by construction
+    and skip every check.
     """
 
     genus: int
     images: tuple[Word, ...]
     inverse_images: Optional[tuple[Word, ...]] = None
+    # whether inverse_images is known to invert images
+    _inverse_ok: bool = field(default=False, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         n = 2 * self.genus
@@ -359,7 +369,8 @@ class MappingClass:
                 if w.max_index() > n:
                     raise GenusMismatch(
                         f"inverse image uses index {w.max_index()} beyond 2g={n}")
-        require_valid(self)
+        if any(c.status == "fail" for c in _image_checks(self)):
+            require_valid(self)
 
     def is_identity(self) -> bool:
         return all(w.data == bytes((j,))
@@ -368,12 +379,14 @@ class MappingClass:
     def inverse(self) -> "MappingClass":
         if self.inverse_images is None:
             raise MissingInverse("mapping class carries no inverse images")
+        _require_inverse(self)
         return _trusted(self.genus, self.inverse_images, self.images)
 
 
 def _trusted(genus: int, images: tuple[Word, ...],
              inverse_images: Optional[tuple[Word, ...]] = None) -> MappingClass:
-    """Build a class without the checks of ``MappingClass.__post_init__``.
+    """Build a class without the checks of ``MappingClass.__post_init__``,
+    its inverse block (if any) taken as checked.
 
     Only for classes valid by construction: composites and inverses of
     valid classes, the built-in generator tables, and the class of inverse
@@ -382,6 +395,7 @@ def _trusted(genus: int, images: tuple[Word, ...],
     object.__setattr__(f, "genus", genus)
     object.__setattr__(f, "images", images)
     object.__setattr__(f, "inverse_images", inverse_images)
+    object.__setattr__(f, "_inverse_ok", True)
     return f
 
 
@@ -425,15 +439,18 @@ def compose(f: MappingClass, h: MappingClass) -> MappingClass:
     """The mapping class acting as f after h.
 
     Images substitute h's images into f; inverse images (when both factors
-    carry them) compose the other way around.  The composite of valid
-    classes fixes zeta, has determinant +-1 and is inverted by the
-    composite of the inverses, so it is built unchecked.
+    carry them) compose the other way around, so each block is checked
+    here if it has not been yet.  The composite of valid classes fixes
+    zeta, has determinant +-1 and is inverted by the composite of the
+    inverses, so it is built unchecked.
     """
     if f.genus != h.genus:
         raise GenusMismatch(f"genus mismatch: {f.genus} vs {h.genus}")
     images = tuple(apply(f, w) for w in h.images)
     inverse_images = None
     if f.inverse_images is not None and h.inverse_images is not None:
+        _require_inverse(f)
+        _require_inverse(h)
         h_inv = _trusted(h.genus, h.inverse_images)
         inverse_images = tuple(apply(h_inv, w) for w in f.inverse_images)
     return _trusted(f.genus, images, inverse_images)
@@ -494,10 +511,9 @@ class ValidationReport:
         return all(c.status != "fail" for c in self.checks)
 
 
-def validate(f: MappingClass) -> ValidationReport:
-    """Structural checks: boundary word fixed exactly, abelianized action
-    of determinant +-1, and (when inverse images are supplied) that the two
-    automorphisms invert each other, read off the one product f g."""
+def _image_checks(f: MappingClass) -> list[CheckResult]:
+    """The checks that read images only: boundary word fixed exactly, and
+    abelianized action of determinant +-1.  Building a class runs them."""
     checks = []
     zeta = boundary_word(f.genus)
     img = apply(f, zeta)
@@ -509,6 +525,14 @@ def validate(f: MappingClass) -> ValidationReport:
     det = _int_det(abelianization(f))
     status = "pass" if det in (1, -1) else "fail"
     checks.append(CheckResult("abelianization", status, f"det = {det}"))
+    return checks
+
+
+def validate(f: MappingClass) -> ValidationReport:
+    """Structural checks: boundary word fixed exactly, abelianized action
+    of determinant +-1, and (when inverse images are supplied) that the two
+    automorphisms invert each other, read off the one product f g."""
+    checks = _image_checks(f)
     if f.inverse_images is None:
         checks.append(CheckResult("inverse", "skipped", "inverse images not supplied"))
     else:
@@ -517,16 +541,27 @@ def validate(f: MappingClass) -> ValidationReport:
         # onto endomorphism is an automorphism: g = f^-1 and g f = id too.
         g_inv = _trusted(f.genus, f.inverse_images)
         ok = compose(f, g_inv).is_identity()
+        if ok:
+            object.__setattr__(f, "_inverse_ok", True)
         checks.append(CheckResult("inverse", "pass" if ok else "fail",
                                   "two-sided inverse" if ok else
                                   "compositions are not the identity"))
     return ValidationReport(f.genus, tuple(checks))
 
 
-def require_valid(f: MappingClass) -> None:
-    """Raise ValidationFailure naming every failed check of :func:`validate`."""
+def require_valid(f: MappingClass) -> ValidationReport:
+    """The report of :func:`validate`; raise ValidationFailure naming every
+    failed check instead if one fails."""
     report = validate(f)
     if not report.ok:
         failing = "; ".join(f"{c.name}: {c.detail}" for c in report.checks
                             if c.status == "fail")
         raise ValidationFailure(f"mapping class rejected ({failing})")
+    return report
+
+
+def _require_inverse(f: MappingClass) -> None:
+    """Check f's inverse block the first time it is read; it is known
+    to pass afterwards."""
+    if not f._inverse_ok:
+        require_valid(f)

@@ -56,8 +56,12 @@ def _until_moves(w: Word, rank: int, cutoff: int) -> TruncatedSeries:
     Either way the lowest surviving degree (if any) is exact: it is the
     lowest degree of the full expansion.  The ladder starts at 2 because
     degree 1 never survives for a class acting trivially on homology, and
-    a cutoff-2 pass costs at most ``rank`` more updates per letter.
+    a cutoff-2 pass costs at most ``rank`` more updates per letter.  The
+    empty word never moves, so it is answered without expanding, whatever
+    the cutoff.
     """
+    if not w:
+        return TruncatedSeries(rank, cutoff, {0: {(): 1}})
     for c in range(2, cutoff):
         s = magnus_expand(w, rank, c)
         if s.min_positive_degree() is not None:

@@ -16,7 +16,7 @@ from typing import Callable
 from .errors import GenusMismatch, ParseError, ValidationFailure
 from .freegroup import (MAX_GENUS, MappingClass, Word, WordReader, _trusted,
                         check_genus, conjugate, format_word, invert,
-                        letter_name, parse_word, reduce)
+                        letter_name, parse_word, reduce, require_valid)
 from .spinquad import (H1Vector, TorelliGenDescriptor, TorelliWord,
                        _trusted_descriptor, basis_vector, h1_sum_text,
                        symbol_bit)
@@ -180,7 +180,8 @@ def _parse_image_lines(lines, genus: int, reader: WordReader, header_ln: int):
 
 
 def parse_map_file(text: str) -> MappingClass:
-    """Parse a .map file; building the class validates it.
+    """Parse a .map file; building the class runs its image checks, and
+    an inverse block is checked where it is read.
 
     Layout: a genus line, optional `let <name> = <tokens>` aliases, a
     `map` header with 2g image lines, and an optional `inverse` header
@@ -315,6 +316,9 @@ def _inline_bp(name: str, rest: str, genus: int, ln: int,
         raise ParseError("bp generator takes exactly one pair", ln)
     path = parts[-1]
     action = parse_map_file(load(path))
+    # a bp letter may be inverted, which reads the inverse block: check it
+    # here, so every verb on the file refuses a bad one alike
+    require_valid(action)
     if action.genus != genus:
         raise ParseError(
             f"action file has genus {action.genus}, word has genus {genus}", ln)

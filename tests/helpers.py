@@ -66,7 +66,10 @@ def naive_parse_word(text, genus, aliases=None, line=None) -> tuple:
             g = _GENERATOR.fullmatch(name)
             if g is None:
                 raise ParseError(f"unknown token {raw!r}", line, col)
-            i = int(g.group(2))
+            try:
+                i = int(g.group(2))
+            except ValueError:  # past int()'s digit limit: out of range
+                i = 0
             if not 1 <= i <= genus:
                 raise ParseError(
                     f"generator {name!r} out of range for genus {genus}",

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torelli.cli import main
-from torelli.freegroup import (MAX_GENUS, MappingClass, identity_class,
-                               letter_name)
+from torelli.errors import ValidationFailure
+from torelli.freegroup import (MAX_GENUS, MappingClass, compose,
+                               identity_class, letter_name)
 from torelli.mcglib import (
     boundary_twist,
     builtin_entries,
@@ -20,6 +21,7 @@ from torelli.mcglib import (
 from torelli.spinquad import MAX_FORM_GENUS, form_literal
 
 from helpers import product_forms
+from test_freegroup import corrupt_one_letter, draw_class
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +378,46 @@ def main_captured(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue()
+
+
+class TestCorruptInverseBlock:
+    """A .map whose inverse block does not invert its images: the verbs that
+    read images only answer as if the block were absent, and the block is
+    refused where it is read."""
+
+    VERBS = (["depth"], ["tau", "-k", "2"], ["tau-tower"],
+             ["bordant", "-k", "2"], ["morita-check", "-k", "2"],
+             ["present"], ["present", "--filled"])
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_block_read_only_where_needed(self, data):
+        f = draw_class(data)
+        n = 2 * f.genus
+        inverse = list(f.inverse_images)
+        j = data.draw(st.integers(0, n - 1))
+        inverse[j] = corrupt_one_letter(data, inverse[j], n)
+        bad = MappingClass(f.genus, f.images, tuple(inverse))
+        with tempfile.TemporaryDirectory() as root:
+            bad_path, plain_path = Path(root) / "bad.map", Path(root) / "plain.map"
+            bad_path.write_text(serialize_map_file(bad))
+            plain_path.write_text(serialize_map_file(
+                MappingClass(f.genus, f.images)))
+            for verb in self.VERBS:
+                assert (main_captured(verb + ["-i", str(bad_path)])
+                        == main_captured(verb + ["-i", str(plain_path)]))
+            for side in (bad_path, plain_path):
+                other = plain_path if side == bad_path else bad_path
+                assert (main_captured(["bordant", "-k", "2", "-i", str(side),
+                                       "--with", str(bad_path)])
+                        == main_captured(["bordant", "-k", "2", "-i", str(side),
+                                          "--with", str(other)]))
+            assert main_captured(["validate", "-i", str(bad_path)]) == (
+                1, "error: VALIDATION_FAILED\n")
+        for read in (bad.inverse, lambda: compose(bad, f),
+                     lambda: compose(f, bad)):
+            with pytest.raises(ValidationFailure):
+                read()
 
 
 class TestGenusBound:

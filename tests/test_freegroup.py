@@ -213,7 +213,8 @@ def token_lines(draw):
     """(text, genus, aliases as letter tuples, line): lines of valid tokens
     (generators, some spelled ``a01``, ``1`` and aliases) with inverse pairs
     at the first, last and alias-boundary positions, and up to two tokens
-    that may be errors.  The number of tokens is drawn first."""
+    that may be errors, digit runs past int()'s limit among them.  The
+    number of tokens is drawn first."""
     genus = draw(st.integers(1, 4))
     letter = st.integers(1, 2 * genus).flatmap(lambda j: st.sampled_from([j, -j]))
     aliases = {}
@@ -242,7 +243,10 @@ def token_lines(draw):
         st.sampled_from(ODD_TOKENS + tuple(n + p for n in ALIAS_NAMES
                                            for p in ("", "'"))),
         st.builds(spell, st.sampled_from("ab"), st.integers(0, 1),
-                  st.sampled_from([0, genus + 1, 99]), st.integers(0, 1)))
+                  st.sampled_from([0, genus + 1, 99]), st.integers(0, 1)),
+        # digit runs around int()'s 4,300-digit limit, leading zeros too
+        st.builds(spell, st.sampled_from("ab"), st.sampled_from([0, 4299, 5000]),
+                  st.sampled_from([1, int("1" * 4300)]), st.integers(0, 1)))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         tokens.insert(draw(st.integers(0, len(tokens))), draw(odd))
     text = draw(st.sampled_from(SEPARATORS + ("",)))
@@ -407,10 +411,42 @@ class TestValidate:
         assert "abelianization" not in str(err.value)
 
     def test_bad_inverse(self):
+        # the images are twist_alpha's and pass every image check; the block
+        # is refused where it is read, and by validate
+        f = MappingClass(1, (Word((1,)), Word((2, 1))),
+                         inverse_images=(Word((1,)), Word((2, 1))))
+        want = ("mapping class rejected "
+                "(inverse: compositions are not the identity)")
+        for read in (f.inverse, lambda: compose(f, f),
+                     lambda: compose(identity_class(1), f),
+                     lambda: require_valid(f)):
+            with pytest.raises(ValidationFailure) as err:
+                read()
+            assert str(err.value) == want
+        status = {c.name: c.status for c in validate(f).checks}
+        assert status["inverse"] == "fail"
+
+    def test_inverse_block_checked_once(self, monkeypatch):
+        import torelli.freegroup as fg
+        f = twist_alpha()
+        calls = []
+        original = fg.compose
+        monkeypatch.setattr(fg, "compose",
+                            lambda f, h: calls.append(1) or original(f, h))
+        f.inverse()
+        f.inverse()
+        assert len(calls) == 1
+        # built unchecked: the check never runs
+        identity_class(1).inverse()
+        assert len(calls) == 1
+
+    def test_boundary_and_inverse_failure_named_together(self):
         with pytest.raises(ValidationFailure) as err:
             MappingClass(1, (Word((2, 1)), Word((2,))),
                          inverse_images=(Word((1,)), Word((2,))))
-        assert "inverse: compositions are not the identity" in str(err.value)
+        assert str(err.value) == (
+            "mapping class rejected (boundary: zeta maps to b1 a1 b1 a1' "
+            "b1' b1'; inverse: compositions are not the identity)")
 
     def test_require_valid_names_failed_checks(self):
         require_valid(twist_alpha())

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,6 +336,39 @@ class TestFailFastLevel:
         with pytest.raises(NotInJk) as exc:
             bordant(bp, bp, 40)
         assert (exc.value.witness, exc.value.degree) == ("a1", 2)
+
+
+class TestLargeLevel:
+    """A level far above every displacement's depth answers at once: a
+    generator the class fixes has the empty displacement, which is never
+    expanded.  The answers are the ones at a small level."""
+
+    HUGE = 10 ** 6
+
+    @pytest.mark.parametrize("name", ["id", "BSCC:1"])
+    def test_answers_at_once(self, name):
+        # genus-2 BSCC:1 fixes a2 and b2
+        f = (identity_class(2) if name == "id"
+             else builtin_entries(2)["BSCC:1"].action)
+        e = identity_class(2)
+        start = time.perf_counter()
+        depth = filtration_depth(f, self.HUGE).witnesses
+        big_tau = outcome(tau, f, self.HUGE)
+        big_bordant = [outcome(bordant, f, h, self.HUGE) for h in (e, f)]
+        assert time.perf_counter() - start < 1
+        assert depth == filtration_depth(f).witnesses
+        small_tau = outcome(tau, f, 4)
+        if name == "id":
+            assert depth == (None,) * 4
+            assert big_tau.degree == self.HUGE and small_tau.degree == 4
+            assert big_tau.is_zero() and small_tau.is_zero()
+            assert big_bordant == [outcome(bordant, f, h, 2) for h in (e, f)]
+            assert big_bordant == [True, True]
+        else:
+            assert depth == (3, 3, None, None)
+            assert big_tau == small_tau == ("NotInJk", "a1", 3)
+            assert big_bordant == [("NotInJk", "a1", 3)] * 2
+            assert outcome(bordant, f, f, 4) == big_bordant[1]
 
 
 class TestCommutatorLaw:
